@@ -43,7 +43,7 @@ fn accept_stats(tally: &[ParamAcceptance]) -> Vec<srm_obs::AcceptStat> {
         })
         .collect()
 }
-use srm_model::{DetectionModel, GroupedLikelihood, ZetaBounds};
+use srm_model::{CollapsedKernel, DetectionModel, GroupedLikelihood, ZetaBounds};
 use srm_rand::{Beta, Distribution, NegativeBinomial, Poisson, Rng, TruncatedGamma};
 
 /// Which prior (and hyper-prior upper limit) the sampler runs with.
@@ -238,6 +238,8 @@ pub struct GibbsSampler {
     model: DetectionModel,
     bounds: ZetaBounds,
     lik: GroupedLikelihood,
+    /// Day tables for the closed-form collapsed statistics.
+    kernel: CollapsedKernel,
     cumulative: Vec<u64>,
     /// Daily counts as exact `f64`s (values < 2^53), precomputed so
     /// the sweep's hot loops skip the integer conversions.
@@ -266,6 +268,7 @@ impl GibbsSampler {
             model,
             bounds,
             lik: GroupedLikelihood::new(data),
+            kernel: CollapsedKernel::new(model, data.counts()),
             cumulative: data.cumulative().to_vec(),
             counts_f: data.counts().iter().map(|&c| c as f64).collect(),
             total: data.total(),
@@ -415,7 +418,8 @@ impl GibbsSampler {
     }
 
     /// The detection-data part of the log posterior as a function of
-    /// `ζ` for fixed `N` (the slice-sampling target).
+    /// `ζ` for fixed `N` (the naive sweep's slice-sampling target; it
+    /// stays a per-day loop).
     fn zeta_log_target(&self, zeta: &[f64], n: u64) -> f64 {
         let mut ll = 0.0;
         for (i, (&count_f, &cum)) in self.counts_f.iter().zip(&self.cumulative).enumerate() {
@@ -426,26 +430,18 @@ impl GibbsSampler {
         ll
     }
 
+    /// `ln Π q_i` at `ζ`: the second component of
+    /// [`GibbsSampler::collapsed_stats`], from the same kernel call.
     fn ln_survival(&self, zeta: &[f64]) -> f64 {
-        (1..=self.horizon as u64)
-            .map(|i| (1.0 - self.model.prob_unchecked(zeta, i)).ln())
-            .sum()
+        self.kernel.stats(zeta).1
     }
 
-    /// One pass over the schedule yielding `(Σ x_i ln w_i, ln Π q_i)`
-    /// with `w_i = p_i Π_{j<i} q_j` — the sufficient statistics of
-    /// the collapsed (N-marginalised) likelihood.
+    /// `(Σ x_i ln w_i, ln Π q_i)` with `w_i = p_i Π_{j<i} q_j` — the
+    /// sufficient statistics of the collapsed (N-marginalised)
+    /// likelihood, from the closed-form kernel (see
+    /// [`srm_model::kernel`]).
     fn collapsed_stats(&self, zeta: &[f64]) -> (f64, f64) {
-        let mut cum_ln_q = 0.0;
-        let mut sum_x_ln_w = 0.0;
-        for (i, &count_f) in self.counts_f.iter().enumerate() {
-            let p = self.model.prob_unchecked(zeta, (i + 1) as u64);
-            if count_f > 0.0 {
-                sum_x_ln_w += count_f * (p.ln() + cum_ln_q);
-            }
-            cum_ln_q += (1.0 - p).ln();
-        }
-        (sum_x_ln_w, cum_ln_q)
+        self.kernel.stats(zeta)
     }
 
     /// [`GibbsSampler::collapsed_stats`] through the one-entry memo.
@@ -453,9 +449,9 @@ impl GibbsSampler {
     /// Bit-identical to the direct call: a hit returns values the
     /// direct call produced earlier for the *same* `ζ` bit pattern,
     /// and `collapsed_stats` is deterministic. The second component
-    /// equals [`GibbsSampler::ln_survival`] bit-for-bit (same
-    /// sequential accumulation over the same days; asserted in tests),
-    /// which is what lets the `N`-step share the memo.
+    /// equals [`GibbsSampler::ln_survival`] bit-for-bit (both are the
+    /// same kernel call; asserted in tests), which is what lets the
+    /// `N`-step share the memo.
     fn stats_cached(&self, zeta: &[f64], cache: &RefCell<SuffStatsCache>) -> (f64, f64) {
         let _span = profile::span("suffstats");
         if !self.cache_stats {
@@ -724,6 +720,8 @@ impl GibbsSampler {
             })
             .collect();
         let mut prev_zeta = vec![0.0f64; state.zeta.len()];
+        // The kept draw's schedule, rebuilt in place each time.
+        let mut probs = Vec::with_capacity(self.horizon);
         if on {
             recorder.record(&Event::ChainStart {
                 chain: chain_id,
@@ -776,22 +774,20 @@ impl GibbsSampler {
             }
             .and_then(|residual| {
                 if will_record {
-                    let probs = self.model.probs(&state.zeta, self.horizon).map_err(|e| {
-                        SrmError::DegeneratePosterior {
+                    self.model
+                        .probs_into(&state.zeta, self.horizon, &mut probs)
+                        .map_err(|e| SrmError::DegeneratePosterior {
                             detail: format!("detection schedule at kept draw: {e:?}"),
                             sweep,
-                        }
-                    })?;
-                    Ok((residual, Some(probs)))
-                } else {
-                    Ok((residual, None))
+                        })?;
                 }
+                Ok(residual)
             });
 
             match outcome {
-                Ok((residual, probs)) => {
+                Ok(residual) => {
                     let n = self.total + residual;
-                    if let Some(probs) = probs {
+                    if will_record {
                         let mut row: Vec<f64> = vec![residual as f64, n as f64];
                         match self.prior {
                             PriorSpec::Poisson { .. } => row.push(state.lambda0),
@@ -1010,12 +1006,12 @@ impl GibbsSampler {
                 for j in 0..zeta_len {
                     let (lo, hi) = zeta_bounds[j];
                     let current = state.zeta[j].clamp(lo, hi);
-                    let snapshot = state.zeta.clone();
+                    let snapshot = zeta_on_stack(&state.zeta);
                     let ln_f = |v: f64| {
                         let _span = profile::span("likelihood");
-                        let mut z = snapshot.clone();
+                        let mut z = snapshot;
                         z[j] = v;
-                        let (sum_x_ln_w, ln_qz) = self.stats_cached(&z, cache);
+                        let (sum_x_ln_w, ln_qz) = self.stats_cached(&z[..zeta_len], cache);
                         match self.prior {
                             PriorSpec::Poisson { .. } => sum_x_ln_w - lambda0 * (1.0 - ln_qz.exp()),
                             PriorSpec::NegBinomial { .. } => {
@@ -1097,12 +1093,12 @@ impl GibbsSampler {
                 for j in 0..zeta_len {
                     let (lo, hi) = zeta_bounds[j];
                     let current = state.zeta[j].clamp(lo, hi);
-                    let snapshot = state.zeta.clone();
+                    let snapshot = zeta_on_stack(&state.zeta);
                     let ln_f = |v: f64| {
                         let _span = profile::span("likelihood");
-                        let mut z = snapshot.clone();
+                        let mut z = snapshot;
                         z[j] = v;
-                        self.zeta_log_target(&z, last_n)
+                        self.zeta_log_target(&z[..zeta_len], last_n)
                     };
                     state.zeta[j] = match self.zeta_kernel {
                         ZetaKernel::Slice => {
@@ -1124,9 +1120,9 @@ impl GibbsSampler {
         // --- 3. N | everything else (exact, Props. 1–2) ----------------
         // On the cached collapsed path the memo already holds ln Π q_i
         // at the current ζ (the last ζ evaluation stored it), and
-        // `collapsed_stats` accumulates that sum in exactly
-        // `ln_survival`'s order, so the shared value is bit-identical
-        // to the uncached recomputation (asserted in tests).
+        // `ln_survival` is the same kernel call, so the shared value is
+        // bit-identical to the uncached recomputation (asserted in
+        // tests).
         let ln_q = if self.cache_stats && matches!(self.sweep_kind, SweepKind::Collapsed) {
             self.stats_cached(&state.zeta, cache).1
         } else {
@@ -1178,6 +1174,17 @@ impl GibbsSampler {
         state.last_n = self.total + residual;
         Ok(residual)
     }
+}
+
+/// Every detection model has at most this many parameters.
+const MAX_ZETA: usize = 2;
+
+/// `zeta` copied onto the stack, so the slice targets can move one
+/// coordinate per evaluation without allocating.
+fn zeta_on_stack(zeta: &[f64]) -> [f64; MAX_ZETA] {
+    let mut buf = [0.0; MAX_ZETA];
+    buf[..zeta.len()].copy_from_slice(zeta);
+    buf
 }
 
 /// Mutable sampler state snapshotted at sweep start so a faulted

@@ -250,9 +250,18 @@ impl DetectionModel {
     /// the samplers.
     #[must_use]
     pub fn prob_unchecked(&self, zeta: &[f64], day: u64) -> f64 {
+        // Keep strictly inside (0, 1): the likelihood takes ln p and
+        // ln q, and boundary values only arise from round-off here.
+        self.raw_prob(zeta, day).clamp(OPEN_EPS, 1.0 - OPEN_EPS)
+    }
+
+    /// `p_i` before the clamp into `[OPEN_EPS, 1 − OPEN_EPS]`; the
+    /// collapsed kernel reads it at the two ends of the schedule to
+    /// decide whether the clamp binds anywhere.
+    pub(crate) fn raw_prob(&self, zeta: &[f64], day: u64) -> f64 {
         let i = day as f64;
         let mu = zeta[0];
-        let p = match self {
+        match self {
             Self::Constant => mu,
             Self::PadgettSpurrier => 1.0 - mu / (zeta[1] * i + 1.0),
             Self::LogLogistic => {
@@ -264,10 +273,7 @@ impl DetectionModel {
                 let omega = zeta[1];
                 1.0 - mu.powf(i.powf(omega) - (i - 1.0).powf(omega))
             }
-        };
-        // Keep strictly inside (0, 1): the likelihood takes ln p and
-        // ln q, and boundary values only arise from round-off here.
-        p.clamp(OPEN_EPS, 1.0 - OPEN_EPS)
+        }
     }
 
     /// The probability schedule `p_1, …, p_horizon`.
@@ -276,10 +282,40 @@ impl DetectionModel {
     ///
     /// Returns [`ModelError`] if `zeta` is invalid.
     pub fn probs(&self, zeta: &[f64], horizon: usize) -> Result<Vec<f64>, ModelError> {
+        let mut buf = Vec::with_capacity(horizon);
+        self.probs_into(zeta, horizon, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`DetectionModel::probs`] written into `buf` (cleared first), so
+    /// a loop over many draws can reuse one buffer. model4 carries
+    /// `(i−1)^ω` over from day `i−1` instead of recomputing it; the
+    /// values are the bits [`DetectionModel::prob_unchecked`] gives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] if `zeta` is invalid.
+    pub fn probs_into(
+        &self,
+        zeta: &[f64],
+        horizon: usize,
+        buf: &mut Vec<f64>,
+    ) -> Result<(), ModelError> {
         self.validate(zeta)?;
-        Ok((1..=horizon as u64)
-            .map(|i| self.prob_unchecked(zeta, i))
-            .collect())
+        buf.clear();
+        if *self == Self::Weibull {
+            let (mu, omega) = (zeta[0], zeta[1]);
+            let mut pow_prev = 0.0f64.powf(omega);
+            buf.extend((1..=horizon).map(|i| {
+                let pow_here = (i as f64).powf(omega);
+                let p = 1.0 - mu.powf(pow_here - pow_prev);
+                pow_prev = pow_here;
+                p.clamp(OPEN_EPS, 1.0 - OPEN_EPS)
+            }));
+        } else {
+            buf.extend((1..=horizon as u64).map(|i| self.prob_unchecked(zeta, i)));
+        }
+        Ok(())
     }
 }
 

@@ -6,6 +6,8 @@
 //!   (`model0`–`model4`, Eqs. (3)–(7));
 //! * [`likelihood`] — the grouped-data likelihood (Eq. (2)) and the
 //!   pointwise binomial terms WAIC needs;
+//! * [`kernel`] — closed-form (telescoped) collapsed sufficient
+//!   statistics, the samplers' hot path;
 //! * [`prior`] — the Poisson and negative-binomial priors on the
 //!   initial bug content `N`;
 //! * [`posterior`] — the analytic posteriors of the residual bug
@@ -36,6 +38,7 @@
 
 pub mod continuous;
 pub mod detection;
+pub mod kernel;
 pub mod likelihood;
 pub mod markov;
 pub mod mle;
@@ -46,6 +49,7 @@ pub mod prior;
 pub mod reliability;
 
 pub use detection::{DetectionModel, ModelError, ZetaBounds};
+pub use kernel::CollapsedKernel;
 pub use likelihood::GroupedLikelihood;
 pub use posterior::{nb_posterior, poisson_posterior, ResidualPosterior};
 pub use prior::BugPrior;

@@ -14,7 +14,7 @@
 
 use crate::detection::DetectionModel;
 use srm_data::BugCountData;
-use srm_math::special::{ln_binomial, ln_factorial};
+use srm_math::special::ln_factorial;
 
 /// Precomputed sufficient statistics for evaluating Eq. (2) quickly
 /// during MCMC: the samplers evaluate the likelihood thousands of
@@ -143,6 +143,24 @@ impl GroupedLikelihood {
             day >= 1 && day <= self.counts.len(),
             "day {day} out of range"
         );
+        self.pointwise(n, probs, day, ln_factorial)
+    }
+
+    /// [`GroupedLikelihood::ln_pointwise`] with `ln n!` read from
+    /// `ln_fact` (`ln_fact[n] == ln_factorial(n)` for every `n` up to
+    /// `N`), so a hot loop takes no lock per lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is 0 or beyond the horizon, or if `ln_fact` is
+    /// shorter than `n + 1`.
+    #[must_use]
+    pub fn ln_pointwise_tabled(&self, n: u64, probs: &[f64], day: usize, ln_fact: &[f64]) -> f64 {
+        self.pointwise(n, probs, day, |m| ln_fact[m as usize])
+    }
+
+    /// Eq. (1) with `ln m!` supplied by `ln_fact`.
+    fn pointwise(&self, n: u64, probs: &[f64], day: usize, ln_fact: impl Fn(u64) -> f64) -> f64 {
         let x = self.counts[day - 1];
         let s_prev = if day == 1 {
             0
@@ -160,7 +178,15 @@ impl GroupedLikelihood {
         if p >= 1.0 {
             return if x == trials { 0.0 } else { f64::NEG_INFINITY };
         }
-        ln_binomial(trials, x) + x as f64 * p.ln() + (trials - x) as f64 * (1.0 - p).ln()
+        let ln_binomial = ln_fact(trials) - ln_fact(x) - ln_fact(trials - x);
+        let ln_q_term = (trials - x) as f64 * (1.0 - p).ln();
+        if x == 0 {
+            // `0 · ln p_i` is a signed zero, which leaves the sum
+            // unchanged; skipping it saves the logarithm.
+            ln_binomial + ln_q_term
+        } else {
+            ln_binomial + x as f64 * p.ln() + ln_q_term
+        }
     }
 
     /// All pointwise log terms at once (one per day).
@@ -191,6 +217,7 @@ impl GroupedLikelihood {
 mod tests {
     use super::*;
     use srm_math::approx_eq;
+    use srm_math::special::ln_binomial;
 
     fn tiny() -> (GroupedLikelihood, Vec<f64>) {
         let data = BugCountData::new(vec![2, 1]).unwrap();

@@ -15,6 +15,7 @@
 
 use srm_math::accum::RunningMoments;
 use srm_math::logsumexp::StreamingLogSumExp;
+use srm_math::special::ln_factorial;
 use srm_mcmc::gibbs::{GibbsSampler, SweepRecord};
 use srm_mcmc::runner::{
     run_chains_fault_tolerant_traced, run_chains_observed, McmcConfig, McmcOutput, RunOptions,
@@ -23,12 +24,20 @@ use srm_mcmc::SrmError;
 use srm_model::GroupedLikelihood;
 use srm_obs::{Event, Recorder, Span};
 
+/// Largest `N` (exclusive) whose `ln n!` values an accumulator copies
+/// into its private table (8 MiB at the limit); larger `N` read the
+/// shared cache.
+const LN_FACT_TABLE_LIMIT: u64 = 1 << 20;
+
 /// Streaming WAIC accumulator over posterior draws.
 #[derive(Debug, Clone)]
 pub struct WaicAccumulator {
     lik: GroupedLikelihood,
     predictive: Vec<StreamingLogSumExp>,
     log_terms: Vec<RunningMoments>,
+    /// `ln n!` for `n` up to the largest `N` seen so far, bit-identical
+    /// to the shared cache but read without its lock.
+    ln_fact: Vec<f64>,
 }
 
 impl WaicAccumulator {
@@ -41,14 +50,27 @@ impl WaicAccumulator {
             lik,
             predictive: vec![StreamingLogSumExp::new(); k],
             log_terms: vec![RunningMoments::new(); k],
+            ln_fact: Vec::new(),
         }
     }
 
     /// Feeds one posterior draw: the current `N` and detection
     /// schedule.
     pub fn add_draw(&mut self, n: u64, probs: &[f64]) {
+        let tabled = n < LN_FACT_TABLE_LIMIT;
+        if tabled {
+            // Grows once per new largest `N`; each entry is the shared
+            // cache's value, so the table reproduces its bits.
+            while self.ln_fact.len() as u64 <= n {
+                self.ln_fact.push(ln_factorial(self.ln_fact.len() as u64));
+            }
+        }
         for day in 1..=self.lik.horizon() {
-            let ln_p = self.lik.ln_pointwise(n, probs, day);
+            let ln_p = if tabled {
+                self.lik.ln_pointwise_tabled(n, probs, day, &self.ln_fact)
+            } else {
+                self.lik.ln_pointwise(n, probs, day)
+            };
             self.predictive[day - 1].add(ln_p);
             // A −inf pointwise term would put zero predictive mass on
             // observed data; it cannot arise from valid sampler states
@@ -279,10 +301,10 @@ pub fn waic_and_chains(sampler: &GibbsSampler, config: &McmcConfig) -> (Waic, Mc
 pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Waic, SrmError> {
     let data = reconstruct_data(sampler);
     let mut acc = WaicAccumulator::new(&data);
-    let model = sampler.model();
-    let zeta_names = model.param_names();
+    let zeta_names = sampler.model().param_names();
     let horizon = data.len();
     let mut zeta = vec![0.0; zeta_names.len()];
+    let mut probs = Vec::with_capacity(horizon);
     for (ci, chain) in output.chains.iter().enumerate() {
         let n_draws = chain.draws("n").ok_or_else(|| SrmError::MissingParameter {
             parameter: "n".into(),
@@ -301,8 +323,9 @@ pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<W
             for (j, col) in zeta_cols.iter().enumerate() {
                 zeta[j] = col[t];
             }
-            let probs = model
-                .probs(&zeta, horizon)
+            sampler
+                .model()
+                .probs_into(&zeta, horizon, &mut probs)
                 .map_err(|e| SrmError::DegeneratePosterior {
                     detail: format!("replayed zeta outside model domain: {e:?}"),
                     sweep: t,

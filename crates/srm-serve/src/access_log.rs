@@ -114,7 +114,14 @@ impl AccessLog {
             .create(true)
             .append(true)
             .open(&self.path)?;
-        writeln!(file, "{line}")
+        // One write of the whole line: `O_APPEND` places each write at
+        // the end atomically, so concurrent handlers never interleave
+        // within a line (`writeln!` on a bare `File` issues the text
+        // and the newline as separate writes).
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+        file.write_all(&buf)
     }
 }
 
@@ -189,6 +196,34 @@ mod tests {
                 assert!(parse(line).is_ok(), "{line}");
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_never_tear_lines() {
+        const THREADS: usize = 8;
+        const LINES: usize = 200;
+        let dir = temp_dir("concurrent");
+        let log = AccessLog::new(dir.join("access.jsonl"), DEFAULT_ACCESS_LOG_MAX_BYTES);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let log = &log;
+                scope.spawn(move || {
+                    for n in 0..LINES {
+                        log.log(&format!("{t:04x}{n:04x}"), &access_event(200));
+                    }
+                });
+            }
+        });
+        assert_eq!(log.stats().lines, (THREADS * LINES) as u64);
+        let text = std::fs::read_to_string(log.path()).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for line in text.lines() {
+            let value = parse(line).unwrap_or_else(|e| panic!("torn line {line:?}: {e:?}"));
+            let id = value.get("trace_id").and_then(Value::as_str).unwrap();
+            assert!(seen.insert(id.to_owned()), "duplicate line {id}");
+        }
+        assert_eq!(seen.len(), THREADS * LINES);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use srm::data::BugCountData;
-use srm::model::{nb_posterior, poisson_posterior, DetectionModel, GroupedLikelihood};
+use srm::model::detection::OPEN_EPS;
+use srm::model::{
+    nb_posterior, poisson_posterior, CollapsedKernel, DetectionModel, GroupedLikelihood, ZetaBounds,
+};
 use srm::rand::{Rng, SplitMix64};
 
 const CASES: usize = 128;
@@ -410,6 +413,276 @@ fn cached_sweeps_bit_identical_to_uncached() {
                     "param {name}"
                 );
             }
+        }
+    }
+}
+
+/// `|kernel − reference| ≤ 1e-12 · max(1, |reference|)` on both
+/// collapsed statistics, or bit-equality where the kernel declines
+/// its closed forms.
+fn assert_kernel_matches_reference(kernel: &CollapsedKernel, zeta: &[f64], what: &str) {
+    let fast = kernel.stats(zeta);
+    let reference = kernel.reference_stats(zeta);
+    if !kernel.fast_path(zeta) {
+        assert_eq!(
+            (fast.0.to_bits(), fast.1.to_bits()),
+            (reference.0.to_bits(), reference.1.to_bits()),
+            "{what}: reference path must return the reference value"
+        );
+        return;
+    }
+    for (f, r) in [(fast.0, reference.0), (fast.1, reference.1)] {
+        assert!(
+            (f - r).abs() <= 1e-12 * r.abs().max(1.0),
+            "{what} at {zeta:?}: kernel {fast:?} vs reference {reference:?}"
+        );
+    }
+}
+
+/// The closed-form collapsed kernel matches the per-day reference loop
+/// for every model over the registry, seeded random datasets and the
+/// edge shapes (a single day, an all-zero tail, no bugs at all), at ζ
+/// drawn uniformly over the sampler's boxes.
+#[test]
+fn collapsed_kernel_matches_reference_loop() {
+    let mut rng = SplitMix64::seed_from(0x5EED_0010);
+    let mut sets: Vec<(String, Vec<u64>)> = srm::data::datasets::all_named()
+        .into_iter()
+        .map(|(name, data)| (name.to_owned(), data.counts().to_vec()))
+        .collect();
+    for case in 0..24 {
+        let max_count = 1 + rng.next_below(60);
+        sets.push((
+            format!("random-{case}"),
+            counts(&mut rng, 1, 400, max_count),
+        ));
+    }
+    sets.push(("single-day".into(), vec![7]));
+    let mut zero_tail = vec![9, 4, 6, 2, 1];
+    zero_tail.resize(300, 0);
+    sets.push(("zero-tail".into(), zero_tail));
+    sets.push(("no-bugs".into(), vec![0; 30]));
+    let limits = ZetaBounds::default();
+    for (name, series) in &sets {
+        for model in DetectionModel::ALL {
+            let kernel = CollapsedKernel::new(model, series);
+            let bounds = model.bounds(&limits);
+            for _ in 0..48 {
+                let zeta: Vec<f64> = bounds
+                    .iter()
+                    .map(|&(lo, hi)| f64_in(&mut rng, lo, hi))
+                    .collect();
+                assert_kernel_matches_reference(&kernel, &zeta, &format!("{model} on {name}"));
+            }
+        }
+    }
+}
+
+/// Wherever the clamp into `[OPEN_EPS, 1 − OPEN_EPS]` binds on some
+/// day, the kernel takes the reference path. Probed at every corner of
+/// each sampler box (and one step inside it) on a short and a long
+/// series, plus pinned values outside model0's box.
+#[test]
+fn collapsed_kernel_routes_clamp_binding_zeta_to_reference() {
+    let limits = ZetaBounds::default();
+    let binds = |model: DetectionModel, zeta: &[f64], k: usize| {
+        (1..=k as u64).any(|day| {
+            let p = model.prob_unchecked(zeta, day);
+            p == OPEN_EPS || p == 1.0 - OPEN_EPS
+        })
+    };
+    for series in [vec![3u64; 12], vec![2u64; 500]] {
+        let k = series.len();
+        for model in DetectionModel::ALL {
+            let kernel = CollapsedKernel::new(model, &series);
+            let bounds = model.bounds(&limits);
+            let mut corners: Vec<Vec<f64>> = vec![Vec::new()];
+            for &(lo, hi) in &bounds {
+                let inner = 1e-3 * (hi - lo);
+                corners = corners
+                    .into_iter()
+                    .flat_map(|c| {
+                        [lo, lo + inner, hi - inner, hi].map(|v| {
+                            let mut next = c.clone();
+                            next.push(v);
+                            next
+                        })
+                    })
+                    .collect();
+            }
+            if model == DetectionModel::Constant {
+                // Pinned parameters may leave the sampler's box.
+                corners.extend([vec![1e-12], vec![1.0 - 1e-12]]);
+            }
+            let mut binding = 0;
+            for zeta in &corners {
+                if binds(model, zeta, k) {
+                    binding += 1;
+                    assert!(!kernel.fast_path(zeta), "{model} k={k} at {zeta:?}");
+                }
+                assert_kernel_matches_reference(&kernel, zeta, &format!("{model} k={k}"));
+            }
+            if k == 500 {
+                assert!(binding > 0, "{model}: no corner binds the clamp");
+            }
+        }
+    }
+}
+
+/// The round-off the reference loop itself carries near the clamp, as
+/// a term to add to `1e-12 · max(1, |ref|)`: with `m_i = min(p_i, q_i)`
+/// and `r_i = s_k − s_i`, `4ε Σ_i (x_i + r_i)/m_i` for `Σ x_i ln w_i`
+/// and `4ε Σ_i 1/m_i` for `ln Q` (DESIGN.md §4).
+fn reference_round_off(model: DetectionModel, series: &[u64], zeta: &[f64]) -> (f64, f64) {
+    let total: u64 = series.iter().sum();
+    let mut seen = 0;
+    let (mut weighted, mut plain) = (0.0, 0.0);
+    for (day, &x) in (1..).zip(series) {
+        let p = model.prob_unchecked(zeta, day);
+        let m = p.min(1.0 - p);
+        seen += x;
+        weighted += (x + (total - seen)) as f64 / m;
+        plain += 1.0 / m;
+    }
+    (4.0 * f64::EPSILON * weighted, 4.0 * f64::EPSILON * plain)
+}
+
+/// Just inside the clamp, where `p_1`, `p_k`, `q_1` or `q_k` lies in
+/// `(OPEN_EPS, 1e-6)`, the closed forms still run but the reference
+/// loses `≈ ε / min(p, q)` to cancellation in `1 − μ^a` and `ln(1 − p)`.
+/// There the kernel meets `1e-12 · max(1, |ref|)` plus that round-off.
+/// ζ is placed in the band by bisecting `μ` against the target.
+#[test]
+fn collapsed_kernel_near_the_clamp_meets_the_round_off_bound() {
+    let mut mixed = vec![50u64, 0, 0, 1, 30, 2, 0, 9];
+    mixed.resize(40, 0);
+    let sets = [vec![7u64], vec![3; 12], vec![2; 500], mixed];
+    let cases: [(DetectionModel, &[f64]); 7] = [
+        (DetectionModel::Constant, &[]),
+        (DetectionModel::LogLogistic, &[0.0]),
+        (DetectionModel::LogLogistic, &[-5.0]),
+        (DetectionModel::LogLogistic, &[5.0]),
+        (DetectionModel::Pareto, &[]),
+        (DetectionModel::Weibull, &[0.2]),
+        (DetectionModel::Weibull, &[0.9]),
+    ];
+    let mut in_band = [0usize; 5];
+    for series in &sets {
+        let k = series.len() as u64;
+        for (model, rest) in cases {
+            let kernel = CollapsedKernel::new(model, series);
+            let zeta_at = |mu: f64| [&[mu][..], rest].concat();
+            for target in [2e-9, 1e-8, 1e-7, 5e-7] {
+                for (day, of_q) in [(1, false), (k, false), (1, true), (k, true)] {
+                    let end = |mu: f64| {
+                        let p = model.prob_unchecked(&zeta_at(mu), day);
+                        if of_q {
+                            1.0 - p
+                        } else {
+                            p
+                        }
+                    };
+                    let (mut lo, mut hi) = (1e-12, 1.0 - 1e-15);
+                    let below_at_lo = end(lo) < target;
+                    for _ in 0..200 {
+                        let mid = 0.5 * (lo + hi);
+                        if (end(mid) < target) == below_at_lo {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    let zeta = zeta_at(lo);
+                    let reached = end(lo);
+                    if !(reached > OPEN_EPS && reached < 1e-6 && kernel.fast_path(&zeta)) {
+                        continue;
+                    }
+                    in_band[model.id()] += 1;
+                    let fast = kernel.stats(&zeta);
+                    let reference = kernel.reference_stats(&zeta);
+                    let (slack_w, slack_q) = reference_round_off(model, series, &zeta);
+                    for (f, r, slack) in [
+                        (fast.0, reference.0, slack_w),
+                        (fast.1, reference.1, slack_q),
+                    ] {
+                        assert!(
+                            (f - r).abs() <= 1e-12 * r.abs().max(1.0) + slack,
+                            "{model} k={k} at {zeta:?}: kernel {fast:?} vs reference {reference:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    for model in [
+        DetectionModel::LogLogistic,
+        DetectionModel::Pareto,
+        DetectionModel::Weibull,
+    ] {
+        assert!(in_band[model.id()] > 0, "{model}: no ζ reached the band");
+    }
+}
+
+/// `DetectionModel::probs_into`, which carries model4's `(i−1)^ω` over
+/// from day `i−1`, equals the day-by-day `prob_unchecked` schedule bit
+/// for bit, for any dataset length and ζ in the sampler's boxes, also
+/// when the buffer is reused.
+#[test]
+fn probs_into_bit_identical_to_per_day_schedule() {
+    let mut rng = SplitMix64::seed_from(0x5EED_0011);
+    let limits = ZetaBounds::default();
+    let mut buf = Vec::new();
+    for _ in 0..CASES {
+        let horizon = 1 + rng.next_below(300) as usize;
+        let model = DetectionModel::ALL[rng.next_below(5) as usize];
+        let zeta: Vec<f64> = model
+            .bounds(&limits)
+            .iter()
+            .map(|&(lo, hi)| f64_in(&mut rng, lo, hi))
+            .collect();
+        model.probs_into(&zeta, horizon, &mut buf).unwrap();
+        assert_eq!(buf.len(), horizon);
+        assert!(
+            buf.iter()
+                .zip(1..)
+                .all(|(p, day)| p.to_bits() == model.prob_unchecked(&zeta, day).to_bits()),
+            "{model} at {zeta:?}"
+        );
+    }
+}
+
+/// The pointwise WAIC term, through the shared ln-factorial cache or
+/// an accumulator's private table, equals Eq. (1) written out with
+/// `ln_binomial` bit for bit, zero-count days included.
+#[test]
+fn tabled_pointwise_bit_identical() {
+    use srm::math::special::ln_binomial;
+    let mut rng = SplitMix64::seed_from(0x5EED_0012);
+    let mut table = Vec::new();
+    for _ in 0..CASES {
+        let data = BugCountData::new(counts(&mut rng, 1, 60, 5)).unwrap();
+        let (model, zeta) = detection_model(&mut rng);
+        let probs = model.probs(&zeta, data.len()).unwrap();
+        let lik = GroupedLikelihood::new(&data);
+        let n = data.total() + rng.next_below(400);
+        while table.len() as u64 <= n {
+            table.push(srm::math::special::ln_factorial(table.len() as u64));
+        }
+        for day in 1..=data.len() {
+            let x = data.counts()[day - 1];
+            let s_prev = if day == 1 {
+                0
+            } else {
+                data.cumulative()[day - 2]
+            };
+            let trials = n - s_prev;
+            let p = probs[day - 1];
+            let eq1 =
+                ln_binomial(trials, x) + x as f64 * p.ln() + (trials - x) as f64 * (1.0 - p).ln();
+            let cached = lik.ln_pointwise(n, &probs, day);
+            let tabled = lik.ln_pointwise_tabled(n, &probs, day, &table);
+            assert_eq!(eq1.to_bits(), cached.to_bits(), "{model} day {day}");
+            assert_eq!(eq1.to_bits(), tabled.to_bits(), "{model} day {day}");
         }
     }
 }
