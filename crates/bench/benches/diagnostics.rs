@@ -8,7 +8,9 @@ use srm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srm_data::datasets;
 use srm_mcmc::diagnostics::{effective_sample_size, geweke_z, psrf};
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec, SweepKind};
+use srm_mcmc::{FaultInjector, RetryPolicy};
 use srm_model::{DetectionModel, ZetaBounds};
+use srm_obs::NOOP;
 use srm_rand::{Distribution, Normal, SplitMix64, Xoshiro256StarStar};
 use std::hint::black_box;
 
@@ -62,7 +64,19 @@ fn bench_ess_per_sweep_ablation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &sampler, |b, s| {
             b.iter(|| {
                 let mut rng = Xoshiro256StarStar::seed_from(300);
-                let chain = s.run_chain(&mut rng, 200, 2_000, 1, &mut |_| {});
+                let (chain, _) = s
+                    .try_run_chain(
+                        &mut rng,
+                        200,
+                        2_000,
+                        1,
+                        &RetryPolicy::none(),
+                        &mut FaultInjector::empty(),
+                        0,
+                        &NOOP,
+                        0,
+                    )
+                    .unwrap();
                 black_box(effective_sample_size(chain.draws("residual").unwrap()))
             });
         });

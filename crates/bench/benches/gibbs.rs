@@ -10,13 +10,27 @@
 use srm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srm_data::datasets;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec, SweepKind, ZetaKernel};
+use srm_mcmc::{FaultInjector, RetryPolicy};
 use srm_model::{DetectionModel, ZetaBounds};
+use srm_obs::NOOP;
 use srm_rand::Xoshiro256StarStar;
 use std::hint::black_box;
 
 fn run_sweeps(sampler: &GibbsSampler, sweeps: usize, seed: u64) -> f64 {
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 0, sweeps, 1, &mut |_| {});
+    let (chain, _) = sampler
+        .try_run_chain(
+            &mut rng,
+            0,
+            sweeps,
+            1,
+            &RetryPolicy::none(),
+            &mut FaultInjector::empty(),
+            0,
+            &NOOP,
+            0,
+        )
+        .unwrap();
     chain.draws("residual").unwrap().iter().sum()
 }
 

@@ -11,11 +11,9 @@
 use srm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srm_data::datasets;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-use srm_mcmc::runner::{
-    run_chains_fault_tolerant, run_chains_fault_tolerant_traced, McmcConfig, RunOptions,
-};
+use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
 use srm_model::{DetectionModel, ZetaBounds};
-use srm_obs::{Event, Recorder};
+use srm_obs::{Event, Recorder, NOOP};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,8 +36,13 @@ fn run_fit(sampler: &GibbsSampler, threads: usize) -> f64 {
         thin: 1,
         seed: 4_242,
     };
-    let run =
-        run_chains_fault_tolerant(sampler, &config, &RunOptions::with_threads(threads)).unwrap();
+    let run = run_chains_fault_tolerant_traced(
+        sampler,
+        &config,
+        &RunOptions::with_threads(threads),
+        &NOOP,
+    )
+    .unwrap();
     run.output.pooled("residual").iter().sum()
 }
 

@@ -6,7 +6,7 @@ use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::runner::{McmcConfig, RunOptions};
 use srm_mcmc::{ChainReport, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
-use srm_obs::{Event, Recorder, NOOP};
+use srm_obs::{Event, Recorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Identifies one cell of the experiment design.
@@ -231,33 +231,6 @@ impl Experiment {
         &self.plan
     }
 
-    /// Runs every design cell, panicking on the first failure (the
-    /// strict historical behaviour). Delegates to [`Experiment::try_run`]
-    /// with no retries and no fault injection, which is bit-identical
-    /// to the original direct path on fault-free runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observation plan is invalid for the data (day 0)
-    /// or any cell fails.
-    #[must_use]
-    pub fn run(&self) -> ExperimentResults {
-        let results = match self.try_run(&RunOptions::none()) {
-            Ok(results) => results,
-            Err(e) => panic!("experiment configuration rejected: {e}"),
-        };
-        if let Some(failure) = results.failures.first() {
-            panic!(
-                "cell ({}, {:?}, day {}) failed: {}",
-                failure.key.prior.label(),
-                failure.key.model,
-                failure.key.observation.day(),
-                failure.error
-            );
-        }
-        results
-    }
-
     /// Runs every design cell under the fault-tolerant pipeline.
     /// Cells are independent; they run on parallel threads (each fit
     /// already seeds its chains from the experiment seed plus a
@@ -270,27 +243,19 @@ impl Experiment {
     /// fit*, so a plan built for `config.mcmc.chains` chains applies
     /// to every cell identically.
     ///
+    /// Each design cell emits [`Event::CellStart`] /
+    /// [`Event::CellEnd`] (or [`Event::CellFailure`] with the terminal
+    /// fault kind) to `recorder`, which is threaded into every cell's
+    /// [`Fit::try_run_traced`]. Cells run on parallel worker threads,
+    /// so sinks see their events interleaved; every event carries its
+    /// own cell/chain coordinates. Results are bit-identical for any
+    /// recorder (pass [`srm_obs::NOOP`] for an untraced run).
+    ///
     /// # Errors
     ///
     /// Returns [`SrmError::InvalidConfig`] when the observation plan
     /// is invalid for the data (day 0).
-    pub fn try_run(&self, options: &RunOptions) -> Result<ExperimentResults, SrmError> {
-        self.try_run_traced(options, &NOOP)
-    }
-
-    /// [`Experiment::try_run`] with instrumentation: each design cell
-    /// emits [`Event::CellStart`] / [`Event::CellEnd`] (or
-    /// [`Event::CellFailure`] with the terminal fault kind), and the
-    /// recorder is threaded into every cell's
-    /// [`Fit::try_run_traced`]. Cells run on parallel worker threads,
-    /// so sinks see their events interleaved; every event carries its
-    /// own cell/chain coordinates. With a disabled recorder the
-    /// results are bit-identical to [`Experiment::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Experiment::try_run`].
-    pub fn try_run_traced(
+    pub fn try_run(
         &self,
         options: &RunOptions,
         recorder: &dyn Recorder,
@@ -439,6 +404,14 @@ impl Experiment {
 mod tests {
     use super::*;
     use srm_data::datasets;
+    use srm_obs::NOOP;
+
+    /// Runs every cell with no retry and asserts none failed.
+    fn run(exp: &Experiment) -> ExperimentResults {
+        let results = exp.try_run(&RunOptions::none(), &NOOP).unwrap();
+        assert!(results.failures().is_empty());
+        results
+    }
 
     fn tiny_experiment(seed: u64) -> Experiment {
         let mut config = ExperimentConfig::smoke(seed);
@@ -456,7 +429,7 @@ mod tests {
 
     #[test]
     fn runs_full_design_grid() {
-        let results = tiny_experiment(61).run();
+        let results = run(&tiny_experiment(61));
         // 2 priors × 1 model × 3 observation points.
         assert_eq!(results.cells().len(), 6);
         assert_eq!(results.days(), vec![48, 96, 146]);
@@ -473,7 +446,7 @@ mod tests {
 
     #[test]
     fn true_residuals_recorded() {
-        let results = tiny_experiment(62).run();
+        let results = run(&tiny_experiment(62));
         let c48 = results
             .get("poisson", DetectionModel::Constant, 48)
             .unwrap();
@@ -486,8 +459,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = tiny_experiment(63).run();
-        let b = tiny_experiment(63).run();
+        let a = run(&tiny_experiment(63));
+        let b = run(&tiny_experiment(63));
         for (ca, cb) in a.cells().iter().zip(b.cells()) {
             assert_eq!(ca.fit.residual, cb.fit.residual);
         }
@@ -517,7 +490,7 @@ mod tests {
             checkpoint_every: 0,
             profiler: None,
         };
-        let results = exp.try_run(&options).unwrap();
+        let results = exp.try_run(&options, &NOOP).unwrap();
         // 2 priors × 1 model × 1 day, each losing chain 1 of 2.
         assert!(results.failures().is_empty());
         assert_eq!(results.cells().len(), 2);
@@ -543,7 +516,7 @@ mod tests {
             checkpoint_every: 0,
             profiler: None,
         };
-        let results = exp.try_run(&options).unwrap();
+        let results = exp.try_run(&options, &NOOP).unwrap();
         // The only chain of every cell panics: no cells, all failures,
         // but the sweep itself completes.
         assert!(results.cells().is_empty());
@@ -555,10 +528,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_try_run_matches_run() {
+    fn retry_budget_leaves_fault_free_cells_unchanged() {
         let exp = tiny_experiment(67);
-        let strict = exp.run();
-        let tolerant = exp.try_run(&RunOptions::default()).unwrap();
+        let strict = run(&exp);
+        let tolerant = exp.try_run(&RunOptions::default(), &NOOP).unwrap();
         assert!(!tolerant.is_degraded());
         assert_eq!(tolerant.total_retries(), 0);
         for (a, b) in strict.cells().iter().zip(tolerant.cells()) {
@@ -569,7 +542,7 @@ mod tests {
 
     #[test]
     fn posterior_shrinks_with_virtual_testing() {
-        let results = tiny_experiment(64).run();
+        let results = run(&tiny_experiment(64));
         let mean_at = |day: usize| {
             results
                 .get("poisson", DetectionModel::Constant, day)

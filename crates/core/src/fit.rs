@@ -7,7 +7,7 @@ use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, McmcOutput,
 use srm_mcmc::{ChainReport, PosteriorSummary, SrmError};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::{Event, Recorder, Span, NOOP};
-use srm_select::waic::{waic_and_chains, waic_from_output_traced, Waic};
+use srm_select::waic::{waic_from_output_traced, Waic};
 
 /// Configuration of a single fit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -64,49 +64,12 @@ pub struct Fit {
 }
 
 impl Fit {
-    /// Runs the Gibbs sampler and assembles the fit.
-    #[must_use]
-    pub fn run(
-        prior: PriorSpec,
-        model: DetectionModel,
-        data: &BugCountData,
-        config: &FitConfig,
-    ) -> Self {
-        let sampler = GibbsSampler::new(prior, model, config.zeta_bounds, data);
-        let (waic, output) = waic_and_chains(&sampler, &config.mcmc);
-
-        let residual_draws = output.pooled("residual");
-        let residual = PosteriorSummary::from_draws(&residual_draws);
-
-        let mut diagnostics = Vec::new();
-        if config.mcmc.chains >= 2 {
-            for name in output.names().to_vec() {
-                // Every chain of a run shares one parameter set, so a
-                // missing name cannot occur here; skip rather than
-                // abort if it ever does.
-                if let Ok(per_chain) = output.per_chain(&name) {
-                    diagnostics.push((name.clone(), report(&per_chain)));
-                }
-            }
-        }
-
-        Self {
-            prior,
-            model,
-            residual,
-            residual_draws,
-            waic,
-            diagnostics,
-            output,
-        }
-    }
-
     /// Runs the sampler under the fault-tolerant runner and assembles
     /// a fit from whatever chains survive.
     ///
     /// WAIC is replayed from the surviving chains' stored draws
-    /// ([`srm_select::waic::waic_from_output`]); on fault-free runs
-    /// the result is bit-identical to [`Fit::run`].
+    /// ([`srm_select::waic::waic_from_output_traced`]). The result is
+    /// bit-identical for any [`RunOptions::threads`].
     ///
     /// # Errors
     ///
@@ -246,7 +209,9 @@ mod tests {
             mcmc: McmcConfig::smoke(seed),
             ..FitConfig::default()
         };
-        Fit::run(prior, model, &data, &config)
+        Fit::try_run(prior, model, &data, &config, &RunOptions::none())
+            .unwrap()
+            .fit
     }
 
     #[test]
@@ -289,20 +254,23 @@ mod tests {
             },
             ..FitConfig::default()
         };
-        let fit = Fit::run(
+        let fit = Fit::try_run(
             PriorSpec::Poisson {
                 lambda_max: 1_000.0,
             },
             DetectionModel::Constant,
             &data,
             &config,
-        );
+            &RunOptions::none(),
+        )
+        .unwrap()
+        .fit;
         assert!(fit.diagnostics.is_empty());
         assert!(fit.converged()); // vacuous
     }
 
     #[test]
-    fn try_run_matches_run_when_fault_free() {
+    fn try_run_is_bit_identical_across_thread_counts() {
         let data = datasets::musa_cc96().truncated(48).unwrap();
         let config = FitConfig {
             mcmc: McmcConfig::smoke(61),
@@ -312,19 +280,29 @@ mod tests {
             lambda_max: 2_000.0,
         };
         let model = DetectionModel::Constant;
-        let strict = Fit::run(prior, model, &data, &config);
-        let tolerant = Fit::try_run(prior, model, &data, &config, &RunOptions::default()).unwrap();
-        assert!(!tolerant.is_degraded());
-        assert_eq!(tolerant.total_retries(), 0);
+        let fit = |threads| {
+            let run = Fit::try_run(
+                prior,
+                model,
+                &data,
+                &config,
+                &RunOptions::with_threads(threads),
+            )
+            .unwrap();
+            assert!(!run.is_degraded());
+            assert_eq!(run.total_retries(), 0);
+            run.fit
+        };
+        let (serial, parallel) = (fit(1), fit(4));
         // Bit-identical draws and a bit-identical replayed WAIC.
-        assert_eq!(strict.residual_draws, tolerant.fit.residual_draws);
+        assert_eq!(serial.residual_draws, parallel.residual_draws);
         assert_eq!(
-            strict.waic.total().to_bits(),
-            tolerant.fit.waic.total().to_bits()
+            serial.waic.total().to_bits(),
+            parallel.waic.total().to_bits()
         );
         assert_eq!(
-            strict.residual.mean.to_bits(),
-            tolerant.fit.residual.mean.to_bits()
+            serial.residual.mean.to_bits(),
+            parallel.residual.mean.to_bits()
         );
     }
 

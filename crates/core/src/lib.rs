@@ -13,18 +13,21 @@
 //! use srm_core::{Fit, FitConfig};
 //! use srm_data::datasets;
 //! use srm_mcmc::gibbs::PriorSpec;
-//! use srm_mcmc::runner::McmcConfig;
+//! use srm_mcmc::runner::{McmcConfig, RunOptions};
 //! use srm_model::DetectionModel;
 //!
 //! let data = datasets::musa_cc96().truncated(48).unwrap();
 //! let config = FitConfig { mcmc: McmcConfig::smoke(5), ..FitConfig::default() };
-//! let fit = Fit::run(
+//! let run = Fit::try_run(
 //!     PriorSpec::Poisson { lambda_max: 2000.0 },
 //!     DetectionModel::Constant,
 //!     &data,
 //!     &config,
-//! );
-//! assert!(fit.residual.mean >= 0.0);
+//!     &RunOptions::none(),
+//! )
+//! .unwrap();
+//! assert!(!run.is_degraded());
+//! assert!(run.fit.residual.mean >= 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +38,6 @@ pub mod fit;
 pub mod multidata;
 pub mod ppc;
 pub mod predict;
-pub mod tuning;
 
 pub use experiment::{
     CellFailure, Experiment, ExperimentCell, ExperimentConfig, ExperimentResults, FitKey,
@@ -44,4 +46,3 @@ pub use fit::{FaultTolerantFit, Fit, FitConfig};
 pub use multidata::{compare_across_datasets, MultiDatasetResults};
 pub use ppc::{posterior_predictive_check, PpcResult};
 pub use predict::{predict_from_fit, Prediction};
-pub use tuning::{tuned_fit, tuned_fit_traced, TunedFit};

@@ -9,6 +9,8 @@
 use crate::fit::{Fit, FitConfig};
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::PriorSpec;
+use srm_mcmc::runner::RunOptions;
+use srm_mcmc::SrmError;
 use srm_model::DetectionModel;
 
 /// One dataset's results: a fit per prior.
@@ -70,16 +72,19 @@ impl MultiDatasetResults {
 
 /// Fits `model` with every prior on every named dataset.
 ///
+/// # Errors
+///
+/// Returns the first fit's error (see [`Fit::try_run`]).
+///
 /// # Panics
 ///
 /// Panics if `priors` or `datasets` is empty.
-#[must_use]
 pub fn compare_across_datasets(
     datasets: &[(&str, BugCountData)],
     priors: &[PriorSpec],
     model: DetectionModel,
     config: &FitConfig,
-) -> MultiDatasetResults {
+) -> Result<MultiDatasetResults, SrmError> {
     assert!(!datasets.is_empty(), "no datasets supplied");
     assert!(!priors.is_empty(), "no priors supplied");
     let comparisons = datasets
@@ -87,18 +92,20 @@ pub fn compare_across_datasets(
         .map(|(name, data)| {
             let fits = priors
                 .iter()
-                .map(|&prior| Fit::run(prior, model, data, config))
-                .collect();
-            DatasetComparison {
+                .map(|&prior| {
+                    Fit::try_run(prior, model, data, config, &RunOptions::none()).map(|r| r.fit)
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(DatasetComparison {
                 name: (*name).to_owned(),
                 total: data.total(),
                 fits,
-            }
+            })
         })
-        .collect();
-    MultiDatasetResults {
+        .collect::<Result<_, SrmError>>()?;
+    Ok(MultiDatasetResults {
         datasets: comparisons,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -139,7 +146,8 @@ mod tests {
             &two_priors(),
             DetectionModel::Constant,
             &quick_config(901),
-        );
+        )
+        .unwrap();
         assert_eq!(results.datasets.len(), 3);
         for d in &results.datasets {
             assert_eq!(d.fits.len(), 2);
@@ -175,13 +183,15 @@ mod tests {
             &two_priors(),
             DetectionModel::Constant,
             &quick_config(903),
-        );
+        )
+        .unwrap();
         let b = compare_across_datasets(
             &named,
             &two_priors(),
             DetectionModel::Constant,
             &quick_config(903),
-        );
+        )
+        .unwrap();
         assert_eq!(
             a.datasets[0].fits[0].residual,
             b.datasets[0].fits[0].residual

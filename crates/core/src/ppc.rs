@@ -120,11 +120,11 @@ mod tests {
     use super::*;
     use crate::fit::FitConfig;
     use srm_mcmc::gibbs::PriorSpec;
-    use srm_mcmc::runner::McmcConfig;
+    use srm_mcmc::runner::{McmcConfig, RunOptions};
     use srm_model::DetectionModel;
 
     fn fit_on(data: &BugCountData, model: DetectionModel, seed: u64) -> Fit {
-        Fit::run(
+        Fit::try_run(
             PriorSpec::Poisson {
                 lambda_max: 2_000.0,
             },
@@ -140,7 +140,10 @@ mod tests {
                 },
                 ..FitConfig::default()
             },
+            &RunOptions::none(),
         )
+        .unwrap()
+        .fit
     }
 
     #[test]

@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::fit::FitConfig;
     use srm_data::datasets;
-    use srm_mcmc::runner::McmcConfig;
+    use srm_mcmc::runner::{McmcConfig, RunOptions};
     use srm_model::DetectionModel;
 
     fn smoke_fit() -> (Fit, BugCountData) {
@@ -96,14 +96,17 @@ mod tests {
             mcmc: McmcConfig::smoke(71),
             ..FitConfig::default()
         };
-        let fit = Fit::run(
+        let fit = Fit::try_run(
             PriorSpec::Poisson {
                 lambda_max: 2_000.0,
             },
             DetectionModel::Constant,
             &data,
             &config,
-        );
+            &RunOptions::none(),
+        )
+        .unwrap()
+        .fit;
         (fit, data)
     }
 

@@ -4,6 +4,7 @@
 use crate::args::{ArgError, Args};
 use crate::commands::{load_data, parse_mcmc, parse_model, parse_prior};
 use srm_core::{predict_from_fit, Fit, FitConfig};
+use srm_mcmc::runner::RunOptions;
 
 const FLAGS: &[&str] = &[
     "data",
@@ -36,7 +37,7 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
         return Err(ArgError("`--horizon` must be positive".into()));
     }
 
-    let fit = Fit::run(
+    let fit = Fit::try_run(
         prior,
         model,
         &data,
@@ -44,7 +45,10 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
             mcmc,
             ..FitConfig::default()
         },
-    );
+        &RunOptions::none(),
+    )
+    .map_err(|e| ArgError(format!("fit failed: {e}")))?
+    .fit;
 
     let prediction = predict_from_fit(&fit, &data, horizon)
         .map_err(|e| ArgError(format!("prediction failed: {e}")))?;

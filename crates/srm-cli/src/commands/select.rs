@@ -4,11 +4,11 @@ use crate::args::{ArgError, Args};
 use crate::commands::{load_data, parse_mcmc, parse_prior};
 use crate::obs::{with_obs_flags, with_obs_switches, Observability};
 use srm_mcmc::gibbs::GibbsSampler;
-use srm_mcmc::runner::RunOptions;
+use srm_mcmc::runner::{run_chains_fault_tolerant_traced, RunOptions};
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_obs::RunManifest;
 use srm_report::Table;
-use srm_select::waic::waic_parallel_traced;
+use srm_select::waic::waic_from_output_traced;
 
 const FLAGS: &[&str] = &[
     "data",
@@ -61,7 +61,8 @@ pub fn run(raw: &[String]) -> Result<String, ArgError> {
     let mut best = (DetectionModel::Constant, f64::INFINITY);
     for model in DetectionModel::ALL {
         let sampler = GibbsSampler::new(prior, model, bounds, &data);
-        let waic = waic_parallel_traced(&sampler, &mcmc, &options, obs.recorder())
+        let waic = run_chains_fault_tolerant_traced(&sampler, &mcmc, &options, obs.recorder())
+            .and_then(|run| waic_from_output_traced(&sampler, &run.output, obs.recorder()))
             .map_err(|e| ArgError(format!("select failed on {model}: {e}")))?;
         if waic.total() < best.1 {
             best = (model, waic.total());

@@ -23,7 +23,7 @@ use crate::slice::{try_slice_sample, SliceConfig, SliceError};
 use srm_data::BugCountData;
 use srm_math::special::ln_gamma;
 use srm_model::detection::OPEN_EPS;
-use srm_obs::{profile, Event, Recorder, NOOP};
+use srm_obs::{profile, Event, Recorder};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -71,25 +71,6 @@ impl PriorSpec {
             Self::NegBinomial { .. } => "negbinom",
         }
     }
-}
-
-/// One kept sweep, handed to observers (WAIC accumulators, tracers).
-#[derive(Debug, Clone, Copy)]
-pub struct SweepRecord<'a> {
-    /// Current initial bug content `N`.
-    pub n: u64,
-    /// Current residual `R = N − s_k`.
-    pub residual: u64,
-    /// Current detection parameters `ζ`.
-    pub zeta: &'a [f64],
-    /// Current `λ0` (NaN under the NB prior).
-    pub lambda0: f64,
-    /// Current `α0` (NaN under the Poisson prior).
-    pub alpha0: f64,
-    /// Current `β0` (NaN under the Poisson prior).
-    pub beta0: f64,
-    /// The detection schedule `p_1..p_k` at the current `ζ`.
-    pub probs: &'a [f64],
 }
 
 /// Which non-informative hyper-prior to place on the prior's
@@ -231,7 +212,7 @@ impl SuffStatsCache {
 /// combination.
 ///
 /// See the crate-level example for typical use through
-/// [`crate::runner::run_chains`].
+/// [`crate::runner::run_chains_fault_tolerant_traced`].
 #[derive(Debug, Clone)]
 pub struct GibbsSampler {
     prior: PriorSpec,
@@ -245,7 +226,6 @@ pub struct GibbsSampler {
     /// the sweep's hot loops skip the integer conversions.
     counts_f: Vec<f64>,
     total: u64,
-    horizon: usize,
     slice_config: SliceConfig,
     sweep_kind: SweepKind,
     hyper_prior: HyperPrior,
@@ -272,7 +252,6 @@ impl GibbsSampler {
             cumulative: data.cumulative().to_vec(),
             counts_f: data.counts().iter().map(|&c| c as f64).collect(),
             total: data.total(),
-            horizon: data.len(),
             slice_config: SliceConfig::default(),
             sweep_kind: SweepKind::default(),
             hyper_prior: HyperPrior::default(),
@@ -570,85 +549,27 @@ impl GibbsSampler {
         )
     }
 
-    /// Runs one chain, returning the kept draws. `observer` is called
-    /// once per kept draw (after thinning) with the full sweep state.
-    ///
-    /// Thin wrapper over [`GibbsSampler::try_run_chain`] with no retry
-    /// and no fault injection: any sampler fault aborts the process.
-    /// Bit-identical to the fault-tolerant path on fault-free runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`, `thin == 0`, or a sweep faults.
-    pub fn run_chain<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        burn_in: usize,
-        samples: usize,
-        thin: usize,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
-    ) -> Chain {
-        assert!(samples > 0, "samples must be positive");
-        assert!(thin > 0, "thin must be positive");
-        match self.try_run_chain(
-            rng,
-            burn_in,
-            samples,
-            thin,
-            &RetryPolicy::none(),
-            &mut FaultInjector::empty(),
-            observer,
-        ) {
-            Ok((chain, _)) => chain,
-            Err(failure) => panic!("{}", failure.fault),
-        }
-    }
-
-    /// Runs one chain with bounded retry and optional fault injection,
-    /// returning the kept draws plus a [`RecoveryLog`].
+    /// Runs one chain with bounded retry, optional fault injection and
+    /// instrumentation, returning the kept draws plus a [`RecoveryLog`].
     ///
     /// A faulted sweep is retried up to `retry.max_retries` times
     /// (per chain): the sampler state is restored to its value at the
     /// start of the failed sweep, but the RNG is **not** rewound, so
     /// the retry consumes fresh draws from the chain's deterministic
-    /// stream. With no faults this path consumes the RNG identically
-    /// to [`GibbsSampler::run_chain`], so fault-free output is
-    /// bit-identical.
+    /// stream. A kept draw whose `ζ` lies outside the model's domain
+    /// faults its sweep the same way.
     ///
     /// `injector` fires scheduled faults at the start of their sweep
     /// (consume-once, so a retried sweep runs clean).
     /// [`FaultKind::Panic`] deliberately panics the calling thread to
     /// exercise the runner's containment.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`ChainFailure`] when the configuration is invalid or
-    /// a sweep still faults after the retry budget is spent.
-    #[allow(clippy::too_many_arguments)] // mirrors run_chain + the three fault knobs
-    pub fn try_run_chain<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        burn_in: usize,
-        samples: usize,
-        thin: usize,
-        retry: &RetryPolicy,
-        injector: &mut FaultInjector,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
-    ) -> Result<(Chain, RecoveryLog), ChainFailure> {
-        self.try_run_chain_traced(
-            rng, burn_in, samples, thin, retry, injector, observer, 0, &NOOP, 0,
-        )
-    }
-
-    /// [`GibbsSampler::try_run_chain`] with instrumentation: typed
-    /// events are emitted to `recorder` (tagged with `chain_id`) for
-    /// sweep progress, fault injections, faults, retries, Metropolis
-    /// decisions and chain completion.
-    ///
-    /// The recorder never touches `rng`, so for any recorder the
-    /// draws are bit-identical to the untraced call; with a disabled
-    /// recorder (`enabled() == false`) no event is even constructed
-    /// and the only cost is one branch per sweep.
+    /// Typed events are emitted to `recorder` (tagged with `chain_id`)
+    /// for sweep progress, fault injections, faults, retries,
+    /// Metropolis decisions and chain completion. The recorder never
+    /// touches `rng`, so for any recorder the draws are bit-identical;
+    /// with a disabled recorder (`enabled() == false`) no event is
+    /// even constructed and the only cost is one branch per sweep.
     ///
     /// `checkpoint_every > 0` additionally maintains streaming
     /// convergence accumulators over the kept draws and emits a
@@ -659,9 +580,10 @@ impl GibbsSampler {
     ///
     /// # Errors
     ///
-    /// Exactly as [`GibbsSampler::try_run_chain`].
-    #[allow(clippy::too_many_arguments)] // the traced superset of try_run_chain
-    pub fn try_run_chain_traced<R: Rng + ?Sized>(
+    /// Returns a [`ChainFailure`] when the configuration is invalid or
+    /// a sweep still faults after the retry budget is spent.
+    #[allow(clippy::too_many_arguments)] // run lengths + fault knobs + instrumentation
+    pub fn try_run_chain<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         burn_in: usize,
@@ -669,7 +591,6 @@ impl GibbsSampler {
         thin: usize,
         retry: &RetryPolicy,
         injector: &mut FaultInjector,
-        observer: &mut dyn FnMut(&SweepRecord<'_>),
         chain_id: usize,
         recorder: &dyn Recorder,
         checkpoint_every: usize,
@@ -720,8 +641,6 @@ impl GibbsSampler {
             })
             .collect();
         let mut prev_zeta = vec![0.0f64; state.zeta.len()];
-        // The kept draw's schedule, rebuilt in place each time.
-        let mut probs = Vec::with_capacity(self.horizon);
         if on {
             recorder.record(&Event::ChainStart {
                 chain: chain_id,
@@ -773,13 +692,14 @@ impl GibbsSampler {
                 self.try_sweep(&mut state, &zeta_bounds, rng, sweep, forced, &cache)
             }
             .and_then(|residual| {
+                // A kept ζ must be one the WAIC replay can evaluate.
                 if will_record {
-                    self.model
-                        .probs_into(&state.zeta, self.horizon, &mut probs)
-                        .map_err(|e| SrmError::DegeneratePosterior {
-                            detail: format!("detection schedule at kept draw: {e:?}"),
+                    self.model.validate(&state.zeta).map_err(|e| {
+                        SrmError::DegeneratePosterior {
+                            detail: format!("kept zeta outside model domain: {e:?}"),
                             sweep,
-                        })?;
+                        }
+                    })?;
                 }
                 Ok(residual)
             });
@@ -802,15 +722,6 @@ impl GibbsSampler {
                         if let Some(acc) = streaming.as_mut() {
                             acc.push_row(&row);
                         }
-                        observer(&SweepRecord {
-                            n,
-                            residual,
-                            zeta: &state.zeta,
-                            lambda0: state.lambda0,
-                            alpha0: state.alpha0,
-                            beta0: state.beta0,
-                            probs: &probs,
-                        });
                     }
                     // The ζ parameters update exactly once per sweep,
                     // so before/after comparison is the kernel's
@@ -1311,10 +1222,34 @@ fn degenerate(what: &str, err: &impl std::fmt::Debug, sweep: usize) -> SrmError 
 mod tests {
     use super::*;
     use srm_data::datasets;
+    use srm_obs::NOOP;
     use srm_rand::Xoshiro256StarStar;
 
     fn small_data() -> BugCountData {
         datasets::musa_cc96().truncated(30).unwrap()
+    }
+
+    /// One chain with no retry, no injection and no recorder.
+    fn run_chain(
+        sampler: &GibbsSampler,
+        rng: &mut Xoshiro256StarStar,
+        burn_in: usize,
+        samples: usize,
+        thin: usize,
+    ) -> Result<Chain, ChainFailure> {
+        sampler
+            .try_run_chain(
+                rng,
+                burn_in,
+                samples,
+                thin,
+                &RetryPolicy::none(),
+                &mut FaultInjector::empty(),
+                0,
+                &NOOP,
+                0,
+            )
+            .map(|(chain, _)| chain)
     }
 
     fn run(
@@ -1326,7 +1261,7 @@ mod tests {
     ) -> Chain {
         let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), data);
         let mut rng = Xoshiro256StarStar::seed_from(seed);
-        sampler.run_chain(&mut rng, 300, samples, 1, &mut |_| {})
+        run_chain(&sampler, &mut rng, 300, samples, 1).unwrap()
     }
 
     #[test]
@@ -1424,28 +1359,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_kept_draw() {
-        let data = small_data();
-        let sampler = GibbsSampler::new(
-            PriorSpec::Poisson { lambda_max: 1e3 },
-            DetectionModel::Constant,
-            ZetaBounds::default(),
-            &data,
-        );
-        let mut rng = Xoshiro256StarStar::seed_from(11);
-        let mut seen = 0usize;
-        let chain = sampler.run_chain(&mut rng, 50, 120, 2, &mut |rec| {
-            seen += 1;
-            assert_eq!(rec.n, data.total() + rec.residual);
-            assert_eq!(rec.probs.len(), data.len());
-            assert!(rec.lambda0.is_finite());
-            assert!(rec.alpha0.is_nan() && rec.beta0.is_nan());
-        });
-        assert_eq!(seen, 120);
-        assert_eq!(chain.len(), 120);
-    }
-
-    #[test]
     fn posterior_mean_reacts_to_zero_count_extension() {
         // Virtual testing must pull the posterior residual down.
         let base = datasets::musa_cc96();
@@ -1485,7 +1398,7 @@ mod tests {
             .with_hyper_prior(HyperPrior::Jeffreys);
             assert_eq!(sampler.hyper_prior().label(), "jeffreys");
             let mut rng = Xoshiro256StarStar::seed_from(201);
-            let chain = sampler.run_chain(&mut rng, 200, 300, 1, &mut |_| {});
+            let chain = run_chain(&sampler, &mut rng, 200, 300, 1).unwrap();
             for &r in chain.draws("residual").unwrap() {
                 assert!(r >= 0.0);
             }
@@ -1506,7 +1419,7 @@ mod tests {
             )
             .with_hyper_prior(hyper);
             let mut rng = Xoshiro256StarStar::seed_from(seed);
-            let chain = sampler.run_chain(&mut rng, 500, 1_500, 1, &mut |_| {});
+            let chain = run_chain(&sampler, &mut rng, 500, 1_500, 1).unwrap();
             let d = chain.draws("residual").unwrap();
             d.iter().sum::<f64>() / d.len() as f64
         };
@@ -1532,7 +1445,7 @@ mod tests {
             )
             .with_zeta_kernel(kernel);
             let mut rng = Xoshiro256StarStar::seed_from(seed);
-            let chain = sampler.run_chain(&mut rng, 800, 3_000, 1, &mut |_| {});
+            let chain = run_chain(&sampler, &mut rng, 800, 3_000, 1).unwrap();
             let d = chain.draws("residual").unwrap();
             d.iter().sum::<f64>() / d.len() as f64
         };
@@ -1556,7 +1469,7 @@ mod tests {
         .with_hyper_prior(HyperPrior::Jeffreys)
         .with_sweep_kind(SweepKind::Naive);
         let mut rng = Xoshiro256StarStar::seed_from(204);
-        let chain = sampler.run_chain(&mut rng, 200, 300, 1, &mut |_| {});
+        let chain = run_chain(&sampler, &mut rng, 200, 300, 1).unwrap();
         for &b in chain.draws("beta0").unwrap() {
             assert!(b > 0.0 && b < 1.0);
         }
@@ -1615,7 +1528,7 @@ mod tests {
                 assert!(!build(false).cached_stats());
                 let run = |sampler: GibbsSampler| {
                     let mut rng = Xoshiro256StarStar::seed_from(4_040);
-                    sampler.run_chain(&mut rng, 100, 150, 1, &mut |_| {})
+                    run_chain(&sampler, &mut rng, 100, 150, 1).unwrap()
                 };
                 assert_eq!(
                     run(build(true)),
@@ -1642,7 +1555,7 @@ mod tests {
         });
         assert!(!sampler.fixed_params().is_empty());
         let mut rng = Xoshiro256StarStar::seed_from(606);
-        let chain = sampler.run_chain(&mut rng, 0, 200, 1, &mut |_| {});
+        let chain = run_chain(&sampler, &mut rng, 0, 200, 1).unwrap();
         for &l in chain.draws("lambda0").unwrap() {
             assert_eq!(l.to_bits(), 120.0f64.to_bits());
         }
@@ -1698,7 +1611,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_thin_panics() {
+    fn zero_thin_is_invalid_config() {
         let data = small_data();
         let sampler = GibbsSampler::new(
             PriorSpec::Poisson { lambda_max: 1e3 },
@@ -1707,9 +1620,7 @@ mod tests {
             &data,
         );
         let mut rng = Xoshiro256StarStar::seed_from(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sampler.run_chain(&mut rng, 10, 10, 0, &mut |_| {})
-        }));
-        assert!(result.is_err());
+        let failure = run_chain(&sampler, &mut rng, 10, 10, 0).unwrap_err();
+        assert!(matches!(failure.fault, SrmError::InvalidConfig { .. }));
     }
 }

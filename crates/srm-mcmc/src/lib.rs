@@ -13,7 +13,7 @@
 //! * [`runner`] — the multi-chain parallel driver (std scoped
 //!   threads, one xoshiro jump-stream per chain), with panic-contained
 //!   fault-tolerant execution via
-//!   [`runner::run_chains_fault_tolerant`];
+//!   [`runner::run_chains_fault_tolerant_traced`];
 //! * [`diagnostics`] — Gelman–Rubin PSRF (Eq. (26)), Geweke Z
 //!   (Eq. (30), standard form), effective sample size and MCSE;
 //! * [`summary`] — posterior summaries: mean / median / mode / sd /
@@ -24,7 +24,7 @@
 //! ```
 //! use srm_data::datasets;
 //! use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-//! use srm_mcmc::runner::{run_chains, McmcConfig};
+//! use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
 //! use srm_model::{DetectionModel, ZetaBounds};
 //!
 //! let data = datasets::musa_cc96().truncated(48).unwrap();
@@ -35,8 +35,10 @@
 //!     &data,
 //! );
 //! let config = McmcConfig { chains: 2, burn_in: 200, samples: 300, thin: 1, seed: 7 };
-//! let out = run_chains(&sampler, &config);
-//! assert_eq!(out.chains.len(), 2);
+//! let run = run_chains_fault_tolerant_traced(&sampler, &config, &RunOptions::none(), &srm_obs::NOOP)
+//!     .unwrap();
+//! assert!(!run.is_degraded());
+//! assert_eq!(run.output.chains.len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,14 +61,12 @@ pub use fault::{
     RetryPolicy, SrmError,
 };
 pub use gibbs::{
-    FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, SweepRecord,
-    ZetaKernel,
+    FixedParams, GibbsSampler, GibbsState, HyperPrior, PriorSpec, SweepKind, ZetaKernel,
 };
 pub use metropolis::ParamAcceptance;
 pub use runner::{
-    assemble_run, effective_threads, run_chain_task, run_chains, run_chains_fault_tolerant,
-    run_chains_fault_tolerant_traced, ChainOutcome, FaultTolerantRun, McmcConfig, McmcOutput,
-    RunOptions,
+    assemble_run, effective_threads, run_chain_task, run_chains_fault_tolerant_traced,
+    ChainOutcome, FaultTolerantRun, McmcConfig, McmcOutput, RunOptions,
 };
 pub use streaming::{ChainAccumulator, ParamAccumulator, DEFAULT_LAG_WINDOW};
 pub use summary::{AcceptanceSummary, PosteriorSummary};

@@ -11,15 +11,16 @@
 //! too (streaming `diagnostic-checkpoint` events alone are delivered
 //! live, in arrival order, so progress can be observed mid-run).
 //!
-//! [`run_chains_fault_tolerant`] is the panic-contained entry point:
-//! each chain is wrapped in `catch_unwind`, faulted sweeps are
-//! retried per [`RetryPolicy`], and a failed chain degrades the run to
-//! partial output with an explicit [`ChainReport`] instead of aborting
-//! the process.
+//! [`run_chains_fault_tolerant_traced`] is the one entry point: each
+//! chain is wrapped in `catch_unwind`, faulted sweeps are retried per
+//! [`RetryPolicy`], and a failed chain degrades the run to partial
+//! output with an explicit [`ChainReport`] instead of aborting the
+//! process. Pass [`srm_obs::NOOP`] as the recorder for an untraced
+//! run.
 
 use crate::chain::Chain;
 use crate::fault::{panic_message, ChainReport, FaultPlan, RecoveryLog, RetryPolicy, SrmError};
-use crate::gibbs::{GibbsSampler, SweepRecord};
+use crate::gibbs::GibbsSampler;
 use srm_obs::{Event, Recorder, NOOP};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,7 +123,7 @@ impl McmcOutput {
 }
 
 /// Fault-handling and scheduling configuration for
-/// [`run_chains_fault_tolerant`].
+/// [`run_chains_fault_tolerant_traced`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Per-chain retry budget for faulted sweeps.
@@ -275,27 +276,6 @@ impl FaultTolerantRun {
     }
 }
 
-/// Runs `config.chains` chains in parallel with panic containment,
-/// bounded retry, and optional deterministic fault injection.
-///
-/// Each chain thread is wrapped in `catch_unwind`; a panicking or
-/// faulted chain is dropped from the output and described in its
-/// [`ChainReport`], so the run degrades to partial output instead of
-/// aborting. With default options and no faults the output is
-/// bit-identical to [`run_chains`].
-///
-/// # Errors
-///
-/// Returns [`SrmError::InvalidConfig`] when `config.chains == 0`, and
-/// the first failed chain's fault when *every* chain is lost.
-pub fn run_chains_fault_tolerant(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    options: &RunOptions,
-) -> Result<FaultTolerantRun, SrmError> {
-    run_chains_fault_tolerant_traced(sampler, config, options, &NOOP)
-}
-
 /// One chain's finished work: its draws (absent when lost), its
 /// report, its buffered trace events awaiting ordered replay, and its
 /// wall time.
@@ -318,18 +298,27 @@ pub struct ChainOutcome {
     pub wall_ms: f64,
 }
 
-/// [`run_chains_fault_tolerant`] with instrumentation: chain workers
-/// emit sweep/fault/retry events to per-chain buffers that are
-/// replayed into `recorder` in chain order once the pool drains,
-/// contained panics are reported as [`Event::ChainPanicked`], and —
-/// after the run is assembled — one [`Event::ChainReport`] per
+/// Runs `config.chains` chains on a bounded pool of
+/// [`RunOptions::threads`] workers with panic containment, bounded
+/// retry, and optional deterministic fault injection.
+///
+/// Each chain is wrapped in `catch_unwind`; a panicking or faulted
+/// chain is dropped from the output and described in its
+/// [`ChainReport`], so the run degrades to partial output instead of
+/// aborting. Draws are bit-identical for any thread count.
+///
+/// Chain workers emit sweep/fault/retry events to per-chain buffers
+/// that are replayed into `recorder` in chain order once the pool
+/// drains, contained panics are reported as [`Event::ChainPanicked`],
+/// and — after the run is assembled — one [`Event::ChainReport`] per
 /// configured chain (carrying that chain's wall time), so
 /// event-derived fault counters match the returned
 /// [`FaultTolerantRun::reports`] exactly.
 ///
-/// The recorder is observation-only: draws are bit-identical to the
-/// untraced call for any recorder, and the replayed event stream is
-/// identical for any thread count (wall-time stamps excepted).
+/// The recorder is observation-only: draws are bit-identical for any
+/// recorder (pass [`NOOP`] for an untraced run), and the replayed
+/// event stream is identical for any thread count (wall-time stamps
+/// excepted).
 /// `diagnostic-checkpoint` events are the one exception to ordered
 /// replay: they are forwarded live (for progress consumers) and so
 /// interleave across chains in arrival order — deterministic with one
@@ -339,7 +328,8 @@ pub struct ChainOutcome {
 ///
 /// # Errors
 ///
-/// Exactly as [`run_chains_fault_tolerant`].
+/// Returns [`SrmError::InvalidConfig`] when `config.chains == 0`, and
+/// the first failed chain's fault when *every* chain is lost.
 pub fn run_chains_fault_tolerant_traced(
     sampler: &GibbsSampler,
     config: &McmcConfig,
@@ -512,14 +502,13 @@ pub fn run_chain_task(
     let _chain_span = srm_obs::profile::span("chain");
     let started = Instant::now();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        sampler.try_run_chain_traced(
+        sampler.try_run_chain(
             &mut rng,
             config.burn_in,
             config.samples,
             config.thin,
             &retry,
             &mut injector,
-            &mut |_| {},
             i,
             chain_recorder,
             options.checkpoint_every,
@@ -582,65 +571,16 @@ pub fn run_chain_task(
     }
 }
 
-/// Runs `config.chains` chains of `sampler` in parallel and collects
-/// them. Observers are not supported on the parallel path — use
-/// [`run_chains_observed`] when WAIC accumulators must see each draw.
-///
-/// Thin strict wrapper over [`run_chains_fault_tolerant`] with no
-/// retry and no injection: bit-identical output on fault-free runs,
-/// and any fault aborts the process.
-///
-/// # Panics
-///
-/// Panics if `config.chains == 0` or any chain faults.
-#[must_use]
-pub fn run_chains(sampler: &GibbsSampler, config: &McmcConfig) -> McmcOutput {
-    assert!(config.chains > 0, "at least one chain is required");
-    match run_chains_fault_tolerant(sampler, config, &RunOptions::none()) {
-        Ok(run) => {
-            if let Some(report) = run.reports.iter().find(|r| !r.recovered) {
-                panic!("{report}");
-            }
-            run.output
-        }
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs the chains *serially*, invoking `observer` on every kept draw
-/// of every chain (chain order, then draw order). Deterministic and
-/// identical to [`run_chains`] in the produced chains.
-///
-/// # Panics
-///
-/// Panics if `config.chains == 0`.
-pub fn run_chains_observed(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    observer: &mut dyn FnMut(&SweepRecord<'_>),
-) -> McmcOutput {
-    assert!(config.chains > 0, "at least one chain is required");
-    let base = srm_rand::Xoshiro256StarStar::seed_from(config.seed);
-    let mut chains = Vec::with_capacity(config.chains);
-    for i in 0..config.chains {
-        let mut rng = base.split_stream(i as u64);
-        chains.push(sampler.run_chain(
-            &mut rng,
-            config.burn_in,
-            config.samples,
-            config.thin,
-            observer,
-        ));
-    }
-    McmcOutput { chains }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gibbs::PriorSpec;
     use srm_data::datasets;
     use srm_model::{DetectionModel, ZetaBounds};
+
+    fn run(s: &GibbsSampler, config: &McmcConfig, options: &RunOptions) -> FaultTolerantRun {
+        run_chains_fault_tolerant_traced(s, config, options, &NOOP).unwrap()
+    }
 
     fn sampler(data: &srm_data::BugCountData) -> GibbsSampler {
         GibbsSampler::new(
@@ -652,27 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let data = datasets::musa_cc96().truncated(25).unwrap();
-        let s = sampler(&data);
-        let config = McmcConfig {
-            chains: 3,
-            burn_in: 100,
-            samples: 150,
-            thin: 1,
-            seed: 99,
-        };
-        let par = run_chains(&s, &config);
-        let ser = run_chains_observed(&s, &config, &mut |_| {});
-        assert_eq!(par, ser);
-    }
-
-    #[test]
     fn pooled_concatenates_all_chains() {
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
         let config = McmcConfig::smoke(3);
-        let out = run_chains(&s, &config);
+        let out = run(&s, &config, &RunOptions::none()).output;
         assert_eq!(out.pooled("residual").len(), config.total_samples());
         assert_eq!(out.per_chain("residual").unwrap().len(), config.chains);
         assert!(out.names().iter().any(|n| n == "lambda0"));
@@ -687,7 +611,7 @@ mod tests {
 
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
-        let out = run_chains(&s, &McmcConfig::smoke(9));
+        let out = run(&s, &McmcConfig::smoke(9), &RunOptions::none()).output;
         let err = out.per_chain("not_a_param").unwrap_err();
         assert!(matches!(
             err,
@@ -697,21 +621,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_tolerant_run_matches_strict_run_when_fault_free() {
+    fn retry_budget_leaves_fault_free_draws_unchanged() {
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
         let config = McmcConfig::smoke(12);
-        let strict = run_chains(&s, &config);
-        let tolerant = run_chains_fault_tolerant(
+        let strict = run(&s, &config, &RunOptions::none());
+        let tolerant = run(
             &s,
             &config,
             &RunOptions {
                 retry: RetryPolicy::default(),
                 ..RunOptions::default()
             },
-        )
-        .unwrap();
-        assert_eq!(strict, tolerant.output);
+        );
+        assert_eq!(strict.output, tolerant.output);
         assert!(!tolerant.is_degraded());
         assert_eq!(tolerant.total_retries(), 0);
         assert!(tolerant.reports.iter().all(|r| r.fault.is_none()));
@@ -725,7 +648,8 @@ mod tests {
             chains: 0,
             ..McmcConfig::smoke(1)
         };
-        let err = run_chains_fault_tolerant(&s, &config, &RunOptions::none()).unwrap_err();
+        let err =
+            run_chains_fault_tolerant_traced(&s, &config, &RunOptions::none(), &NOOP).unwrap_err();
         assert!(matches!(err, crate::fault::SrmError::InvalidConfig { .. }));
     }
 
@@ -733,24 +657,8 @@ mod tests {
     fn chains_differ_across_streams() {
         let data = datasets::musa_cc96().truncated(25).unwrap();
         let s = sampler(&data);
-        let out = run_chains(&s, &McmcConfig::smoke(4));
+        let out = run(&s, &McmcConfig::smoke(4), &RunOptions::none()).output;
         assert_ne!(out.chains[0], out.chains[1]);
-    }
-
-    #[test]
-    fn observer_counts_total_draws() {
-        let data = datasets::musa_cc96().truncated(25).unwrap();
-        let s = sampler(&data);
-        let config = McmcConfig {
-            chains: 2,
-            burn_in: 50,
-            samples: 80,
-            thin: 1,
-            seed: 5,
-        };
-        let mut seen = 0usize;
-        let _ = run_chains_observed(&s, &config, &mut |_| seen += 1);
-        assert_eq!(seen, 160);
     }
 
     #[test]
@@ -793,7 +701,7 @@ mod tests {
             slots[i] = Some(run_chain_task(&s, &base, &config, &options, &NOOP, i));
         }
         let assembled = assemble_run(&config, slots, &NOOP).unwrap();
-        let pooled = run_chains_fault_tolerant(&s, &config, &options).unwrap();
+        let pooled = run(&s, &config, &options);
         assert_eq!(assembled.output, pooled.output);
         assert_eq!(assembled.reports.len(), pooled.reports.len());
     }
@@ -809,12 +717,11 @@ mod tests {
             thin: 1,
             seed: 4_321,
         };
-        let serial = run_chains_observed(&s, &config, &mut |_| {});
-        for threads in [1usize, 2, 4, 0] {
-            let run =
-                run_chains_fault_tolerant(&s, &config, &RunOptions::with_threads(threads)).unwrap();
-            assert_eq!(run.output, serial, "threads={threads} diverged");
-            assert_eq!(run.reports.len(), config.chains);
+        let serial = run(&s, &config, &RunOptions::with_threads(1)).output;
+        for threads in [2usize, 4, 0] {
+            let parallel = run(&s, &config, &RunOptions::with_threads(threads));
+            assert_eq!(parallel.output, serial, "threads={threads} diverged");
+            assert_eq!(parallel.reports.len(), config.chains);
         }
     }
 }

@@ -1,13 +1,16 @@
 //! Robustness extension: is the WAIC ranking (model1 wins) stable
 //! under moving-block bootstrap resampling of the dataset?
 
+#![allow(clippy::expect_used)] // reproduction script
+
 use srm_data::bootstrap::BlockBootstrap;
 use srm_data::datasets;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
 use srm_mcmc::runner::McmcConfig;
 use srm_model::{DetectionModel, ZetaBounds};
+use srm_obs::NOOP;
 use srm_report::Table;
-use srm_select::waic::waic_for;
+use srm_select::waic::waic_from_output_traced;
 
 fn main() {
     let data = datasets::musa_cc96();
@@ -39,14 +42,16 @@ fn main() {
                 ZetaBounds::default(),
                 &sample,
             );
-            let waic = waic_for(
+            let output = srm_repro::draws(
                 &sampler,
                 &McmcConfig {
                     seed: mcmc.seed + rep as u64 * 101,
                     ..mcmc
                 },
-            )
-            .total();
+            );
+            let waic = waic_from_output_traced(&sampler, &output, &NOOP)
+                .expect("every chain kept")
+                .total();
             mean_waic[idx] += waic / replicates as f64;
             if waic < best.1 {
                 best = (idx, waic);

@@ -6,7 +6,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // reproduction script
 
-use srm_core::{Fit, FitConfig};
 use srm_data::{datasets, ObservationPoint};
 use srm_mcmc::gibbs::PriorSpec;
 use srm_mcmc::PosteriorSummary;
@@ -37,15 +36,7 @@ fn main() {
                 let point = ObservationPoint::new(day);
                 let window = point.window(&data).expect("valid day");
                 let truth = point.true_residual(&data);
-                let fit = Fit::run(
-                    prior,
-                    model,
-                    &window,
-                    &FitConfig {
-                        mcmc,
-                        ..FitConfig::default()
-                    },
-                );
+                let fit = srm_repro::fit(prior, model, &window, mcmc);
                 let (lo, hi) = PosteriorSummary::credible_interval(&fit.residual_draws, 0.05);
                 let covered = (lo..=hi).contains(&(truth as f64));
                 table.row(

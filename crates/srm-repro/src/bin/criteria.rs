@@ -7,12 +7,11 @@
 
 use srm_data::datasets;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-use srm_mcmc::runner::run_chains_observed;
 use srm_model::{DetectionModel, ZetaBounds};
 use srm_report::Table;
 use srm_select::dic::dic_from_output;
 use srm_select::loo::LooAccumulator;
-use srm_select::waic::WaicAccumulator;
+use srm_select::waic::{replay_draws, WaicAccumulator};
 
 fn main() {
     let data = datasets::musa_cc96().truncated(48).expect("valid day");
@@ -35,10 +34,12 @@ fn main() {
             let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), &data);
             let mut waic_acc = WaicAccumulator::new(&data);
             let mut loo_acc = LooAccumulator::new(&data);
-            let output = run_chains_observed(&sampler, &mcmc, &mut |rec| {
-                waic_acc.observe(rec);
-                loo_acc.observe(rec);
-            });
+            let output = srm_repro::draws(&sampler, &mcmc);
+            replay_draws(&sampler, &output, |n, probs| {
+                waic_acc.add_draw(n, probs);
+                loo_acc.add_draw(n, probs);
+            })
+            .expect("every chain kept");
             let waic = waic_acc.finish();
             let loo = loo_acc.finish();
             let dic = dic_from_output(&output, model, &data);

@@ -7,11 +7,11 @@
 
 use srm_data::{datasets, ObservationPlan};
 use srm_mcmc::gibbs::{GibbsSampler, HyperPrior, PriorSpec};
-use srm_mcmc::runner::run_chains_observed;
 use srm_mcmc::PosteriorSummary;
 use srm_model::{DetectionModel, ZetaBounds};
+use srm_obs::NOOP;
 use srm_report::Table;
-use srm_select::waic::WaicAccumulator;
+use srm_select::waic::waic_from_output_traced;
 
 fn main() {
     let data = datasets::musa_cc96();
@@ -49,13 +49,14 @@ fn main() {
                     &window,
                 )
                 .with_hyper_prior(hyper);
-                let mut acc = WaicAccumulator::new(&window);
-                let out = run_chains_observed(&sampler, &mcmc, &mut |rec| acc.observe(rec));
+                let out = srm_repro::draws(&sampler, &mcmc);
                 let draws = out.pooled("residual");
                 let summary = PosteriorSummary::from_draws(&draws);
                 row.push(summary.mean);
                 row.push(summary.sd);
-                row.push(acc.finish().total());
+                let waic =
+                    waic_from_output_traced(&sampler, &out, &NOOP).expect("every chain kept");
+                row.push(waic.total());
             }
             table.row(&point.to_string(), &row);
         }

@@ -30,7 +30,8 @@ fn main() {
         &priors,
         DetectionModel::PadgettSpurrier,
         &config,
-    );
+    )
+    .expect("every fit succeeds");
 
     let mut table = Table::new(
         "Extension: prior comparison across datasets (model1, 100% observation point)",

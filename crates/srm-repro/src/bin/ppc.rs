@@ -3,7 +3,7 @@
 //! of the data? Extreme p-values (< 0.025 or > 0.975) flag model
 //! misfit the WAIC ranking only shows indirectly.
 
-use srm_core::{posterior_predictive_check, Fit, FitConfig};
+use srm_core::posterior_predictive_check;
 use srm_data::datasets;
 use srm_mcmc::gibbs::PriorSpec;
 use srm_model::DetectionModel;
@@ -35,15 +35,7 @@ fn main() {
             ],
         );
         for model in DetectionModel::ALL {
-            let fit = Fit::run(
-                prior,
-                model,
-                &data,
-                &FitConfig {
-                    mcmc,
-                    ..FitConfig::default()
-                },
-            );
+            let fit = srm_repro::fit(prior, model, &data, mcmc);
             let results = posterior_predictive_check(&fit, &data, n_rep, srm_repro::seed() + 17);
             let row: Vec<f64> = results.iter().map(|r| r.p_value).collect();
             table.row(model.name(), &row);

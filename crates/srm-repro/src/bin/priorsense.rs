@@ -26,7 +26,9 @@ fn main() {
     };
 
     for (label, poisson) in [("poisson", true), ("negbinom", false)] {
-        let result = search.run(poisson, DetectionModel::PadgettSpurrier, &data);
+        let result = search
+            .run(poisson, DetectionModel::PadgettSpurrier, &data)
+            .expect("every grid cell scores");
         let mut table = Table::new(
             &format!("Hyper-prior sensitivity at 48 days — {label} prior, model1"),
             &["theta_max", "WAIC total", "T_k", "V_k"],

@@ -14,10 +14,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use srm_core::{Experiment, ExperimentCell, ExperimentConfig, ExperimentResults};
+use srm_core::{Experiment, ExperimentCell, ExperimentConfig, ExperimentResults, Fit, FitConfig};
 use srm_data::{datasets, BugCountData};
-use srm_mcmc::runner::McmcConfig;
+use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
+use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, McmcOutput, RunOptions};
 use srm_model::DetectionModel;
+use srm_obs::NOOP;
 use srm_report::boxplot::{render_boxes, BoxStats};
 use srm_report::Table;
 
@@ -98,10 +100,60 @@ pub fn dataset() -> BugCountData {
 }
 
 /// Runs the full paper experiment: 2 priors × 5 models × 9 points.
+///
+/// # Panics
+///
+/// Panics when any cell fails: every table needs the full design.
 #[must_use]
 pub fn run_paper_experiment() -> ExperimentResults {
     let config = ExperimentConfig::paper_design(mcmc_config());
-    Experiment::new(dataset(), config).run()
+    let results = match Experiment::new(dataset(), config).try_run(&RunOptions::none(), &NOOP) {
+        Ok(results) => results,
+        Err(e) => panic!("experiment configuration rejected: {e}"),
+    };
+    if let Some(failure) = results.failures().first() {
+        panic!(
+            "cell ({}, {:?}, day {}) failed: {}",
+            failure.key.prior.label(),
+            failure.key.model,
+            failure.key.observation.day(),
+            failure.error
+        );
+    }
+    results
+}
+
+/// The chains of one run with no retry; every table needs every
+/// chain.
+///
+/// # Panics
+///
+/// Panics when a chain is lost.
+#[must_use]
+pub fn draws(sampler: &GibbsSampler, mcmc: &McmcConfig) -> McmcOutput {
+    match run_chains_fault_tolerant_traced(sampler, mcmc, &RunOptions::none(), &NOOP) {
+        Ok(run) if !run.is_degraded() => run.output,
+        Ok(run) => panic!("chains {:?} lost", run.failed_chains()),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// One fit with default detection-parameter bounds and no retry.
+///
+/// # Panics
+///
+/// Panics when a chain is lost.
+#[must_use]
+pub fn fit(prior: PriorSpec, model: DetectionModel, data: &BugCountData, mcmc: McmcConfig) -> Fit {
+    let config = FitConfig {
+        mcmc,
+        ..FitConfig::default()
+    };
+    match Fit::try_run(prior, model, data, &config, &RunOptions::none()) {
+        Ok(run) if !run.is_degraded() => run.fit,
+        Ok(run) => panic!("a chain was lost: {:?}", run.chain_reports),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Column headers in paper order.

@@ -89,8 +89,9 @@ mod tests {
     use super::*;
     use srm_data::datasets;
     use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-    use srm_mcmc::runner::{run_chains, McmcConfig};
+    use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
     use srm_model::ZetaBounds;
+    use srm_obs::NOOP;
 
     fn run(model: DetectionModel, seed: u64) -> (McmcOutput, srm_data::BugCountData) {
         let data = datasets::musa_cc96().truncated(48).unwrap();
@@ -102,7 +103,14 @@ mod tests {
             ZetaBounds::default(),
             &data,
         );
-        (run_chains(&sampler, &McmcConfig::smoke(seed)), data)
+        let run = run_chains_fault_tolerant_traced(
+            &sampler,
+            &McmcConfig::smoke(seed),
+            &RunOptions::none(),
+            &NOOP,
+        )
+        .unwrap();
+        (run.output, data)
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //!
 //! The paper tunes the uniform hyper-prior upper limits
 //! (`λ_max`, `α_max`, `θ_max`) "so as to minimise WAIC". This module
-//! runs the Gibbs sampler for every candidate combination (in
-//! parallel across grid cells) and returns the winner with the full
-//! score table.
+//! runs the Gibbs sampler for every candidate combination (one cell
+//! after another, each cell's chains on the runner's bounded pool)
+//! and returns the winner with the full score table.
 
-use crate::waic::{waic_for, Waic};
+use crate::waic::{waic_from_output_traced, Waic};
 use srm_data::BugCountData;
 use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-use srm_mcmc::runner::McmcConfig;
+use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
+use srm_mcmc::SrmError;
 use srm_model::{DetectionModel, ZetaBounds};
+use srm_obs::NOOP;
 
 /// One evaluated grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +76,24 @@ impl GridSearch {
     }
 
     /// Runs the search for one (prior family, detection model, data)
-    /// combination. Cells are evaluated on parallel threads.
+    /// combination. Cells are scored in grid order; each cell's chains
+    /// run on the runner's bounded worker pool, so the result does not
+    /// depend on the thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first cell's error when every chain of that cell is
+    /// lost or its WAIC replay fails.
     ///
     /// # Panics
     ///
     /// Panics if either candidate list is empty.
-    #[must_use]
     pub fn run(
         &self,
         poisson_prior: bool,
         model: DetectionModel,
         data: &BugCountData,
-    ) -> GridSearchResult {
+    ) -> Result<GridSearchResult, SrmError> {
         assert!(!self.prior_limits.is_empty(), "empty prior-limit grid");
         assert!(!self.theta_maxes.is_empty(), "empty theta grid");
         let thetas: &[f64] = if Self::theta_axis_active(model) {
@@ -93,39 +101,33 @@ impl GridSearch {
         } else {
             &self.theta_maxes[..1]
         };
-        let mut combos: Vec<(f64, f64)> = Vec::new();
+        let mut cells = Vec::with_capacity(self.prior_limits.len() * thetas.len());
         for &limit in &self.prior_limits {
-            for &theta in thetas {
-                combos.push((limit, theta));
+            for &theta_max in thetas {
+                let prior = if poisson_prior {
+                    PriorSpec::Poisson { lambda_max: limit }
+                } else {
+                    PriorSpec::NegBinomial { alpha_max: limit }
+                };
+                let bounds = ZetaBounds {
+                    theta_max,
+                    gamma_max: theta_max.max(1.0),
+                };
+                let sampler = GibbsSampler::new(prior, model, bounds, data);
+                let run = run_chains_fault_tolerant_traced(
+                    &sampler,
+                    &self.mcmc,
+                    &RunOptions::none(),
+                    &NOOP,
+                )?;
+                cells.push(GridCell {
+                    prior_limit: limit,
+                    theta_max,
+                    waic: waic_from_output_traced(&sampler, &run.output, &NOOP)?,
+                });
             }
         }
 
-        let mut cells: Vec<Option<GridCell>> = vec![None; combos.len()];
-        std::thread::scope(|scope| {
-            for (slot, &(limit, theta_max)) in cells.iter_mut().zip(&combos) {
-                let mcmc = self.mcmc;
-                scope.spawn(move || {
-                    let prior = if poisson_prior {
-                        PriorSpec::Poisson { lambda_max: limit }
-                    } else {
-                        PriorSpec::NegBinomial { alpha_max: limit }
-                    };
-                    let bounds = ZetaBounds {
-                        theta_max,
-                        gamma_max: theta_max.max(1.0),
-                    };
-                    let sampler = GibbsSampler::new(prior, model, bounds, data);
-                    let waic = waic_for(&sampler, &mcmc);
-                    *slot = Some(GridCell {
-                        prior_limit: limit,
-                        theta_max,
-                        waic,
-                    });
-                });
-            }
-        });
-
-        let cells: Vec<GridCell> = cells.into_iter().flatten().collect();
         // The grid always has at least one cell; the fallback index
         // is unreachable.
         let best = cells
@@ -133,7 +135,7 @@ impl GridSearch {
             .min_by(|a, b| a.waic.total().total_cmp(&b.waic.total()))
             .unwrap_or_else(|| unreachable!())
             .clone();
-        GridSearchResult { best, cells }
+        Ok(GridSearchResult { best, cells })
     }
 }
 
@@ -159,16 +161,22 @@ mod tests {
     #[test]
     fn grid_collapses_theta_axis_for_one_parameter_models() {
         let data = datasets::musa_cc96().truncated(48).unwrap();
-        let r = tiny_grid(41).run(true, DetectionModel::Constant, &data);
+        let r = tiny_grid(41)
+            .run(true, DetectionModel::Constant, &data)
+            .unwrap();
         assert_eq!(r.cells.len(), 2); // θ axis inert for model0
-        let r = tiny_grid(42).run(true, DetectionModel::PadgettSpurrier, &data);
+        let r = tiny_grid(42)
+            .run(true, DetectionModel::PadgettSpurrier, &data)
+            .unwrap();
         assert_eq!(r.cells.len(), 4);
     }
 
     #[test]
     fn best_cell_is_argmin() {
         let data = datasets::musa_cc96().truncated(48).unwrap();
-        let r = tiny_grid(43).run(false, DetectionModel::Constant, &data);
+        let r = tiny_grid(43)
+            .run(false, DetectionModel::Constant, &data)
+            .unwrap();
         let min = r
             .cells
             .iter()
@@ -180,8 +188,12 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = datasets::musa_cc96().truncated(48).unwrap();
-        let a = tiny_grid(44).run(true, DetectionModel::Constant, &data);
-        let b = tiny_grid(44).run(true, DetectionModel::Constant, &data);
+        let a = tiny_grid(44)
+            .run(true, DetectionModel::Constant, &data)
+            .unwrap();
+        let b = tiny_grid(44)
+            .run(true, DetectionModel::Constant, &data)
+            .unwrap();
         assert_eq!(a, b);
     }
 }

@@ -6,8 +6,9 @@
 //! 2010) drives both the detection-model ranking (Table I) and the
 //! choice of the hyper-prior limits `λ_max`, `α_max`, `θ_max`.
 //!
-//! * [`waic`] — streaming WAIC accumulation over MCMC draws
-//!   (Eqs. (23)–(25));
+//! * [`waic`] — WAIC accumulated over the stored MCMC draws
+//!   (Eqs. (23)–(25)), and the one replay loop over those draws;
+//! * [`loo`] — importance-sampling LOO-CV over the same replay;
 //! * [`dic`] — the deviance information criterion, as a secondary
 //!   check;
 //! * [`grid`] — hyper-parameter grid search minimising WAIC.
@@ -17,9 +18,10 @@
 //! ```
 //! use srm_data::datasets;
 //! use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-//! use srm_mcmc::runner::McmcConfig;
+//! use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
 //! use srm_model::{DetectionModel, ZetaBounds};
-//! use srm_select::waic::waic_for;
+//! use srm_obs::NOOP;
+//! use srm_select::waic::waic_from_output_traced;
 //!
 //! let data = datasets::musa_cc96().truncated(48).unwrap();
 //! let sampler = GibbsSampler::new(
@@ -28,7 +30,9 @@
 //!     ZetaBounds::default(),
 //!     &data,
 //! );
-//! let waic = waic_for(&sampler, &McmcConfig::smoke(1));
+//! let run = run_chains_fault_tolerant_traced(&sampler, &McmcConfig::smoke(1), &RunOptions::none(), &NOOP)
+//!     .unwrap();
+//! let waic = waic_from_output_traced(&sampler, &run.output, &NOOP).unwrap();
 //! assert!(waic.total().is_finite());
 //! ```
 
@@ -41,5 +45,5 @@ pub mod loo;
 pub mod waic;
 
 pub use grid::{GridSearch, GridSearchResult};
-pub use loo::{loo_for, Loo, LooAccumulator};
-pub use waic::{waic_for, waic_for_traced, Waic, WaicAccumulator};
+pub use loo::{loo_from_output, Loo, LooAccumulator};
+pub use waic::{replay_draws, waic_from_output_traced, Waic, WaicAccumulator};

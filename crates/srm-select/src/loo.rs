@@ -13,8 +13,10 @@
 //! we stabilise them by truncation at `√S · mean` (Ionides 2008),
 //! the standard pre-PSIS remedy.
 
-use srm_mcmc::gibbs::{GibbsSampler, SweepRecord};
-use srm_mcmc::runner::{run_chains_observed, McmcConfig};
+use crate::waic::{reconstruct_data, replay_draws};
+use srm_mcmc::gibbs::GibbsSampler;
+use srm_mcmc::runner::McmcOutput;
+use srm_mcmc::SrmError;
 use srm_model::GroupedLikelihood;
 
 /// Streaming IS-LOO accumulator over posterior draws.
@@ -46,11 +48,6 @@ impl LooAccumulator {
         for day in 1..=self.lik.horizon() {
             self.log_terms[day - 1].push(self.lik.ln_pointwise(n, probs, day));
         }
-    }
-
-    /// Observer form for the MCMC runner.
-    pub fn observe(&mut self, record: &SweepRecord<'_>) {
-        self.add_draw(record.n, record.probs);
     }
 
     /// Number of draws consumed.
@@ -105,24 +102,38 @@ impl Loo {
     }
 }
 
-/// Runs the sampler with a LOO observer and returns the estimate.
-#[must_use]
-pub fn loo_for(sampler: &GibbsSampler, config: &McmcConfig) -> Loo {
-    // The sampler can only be built from non-empty data.
-    let data = srm_data::BugCountData::new(sampler.likelihood().counts().to_vec())
-        .unwrap_or_else(|_| unreachable!());
-    let mut acc = LooAccumulator::new(&data);
-    let _ = run_chains_observed(sampler, config, &mut |rec| acc.observe(rec));
-    acc.finish()
+/// Computes the IS-LOO estimate by replaying the stored draws of
+/// `output` (see [`replay_draws`]).
+///
+/// # Errors
+///
+/// Propagates the replay errors of [`replay_draws`], including
+/// [`SrmError::InvalidConfig`] when `output` holds no draws.
+pub fn loo_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Loo, SrmError> {
+    let mut acc = LooAccumulator::new(&reconstruct_data(sampler));
+    replay_draws(sampler, output, |n, probs| acc.add_draw(n, probs))?;
+    Ok(acc.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waic::waic_for;
+    use crate::waic::waic_from_output_traced;
     use srm_data::datasets;
     use srm_mcmc::gibbs::PriorSpec;
+    use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
     use srm_model::{DetectionModel, ZetaBounds};
+    use srm_obs::NOOP;
+
+    fn draws(s: &GibbsSampler, config: &McmcConfig) -> McmcOutput {
+        run_chains_fault_tolerant_traced(s, config, &RunOptions::none(), &NOOP)
+            .unwrap()
+            .output
+    }
+
+    fn smoke_loo(s: &GibbsSampler, config: &McmcConfig) -> Loo {
+        loo_from_output(s, &draws(s, config)).unwrap()
+    }
 
     fn sampler(model: DetectionModel) -> (GibbsSampler, srm_data::BugCountData) {
         let data = datasets::musa_cc96().truncated(48).unwrap();
@@ -145,8 +156,9 @@ mod tests {
         // be close on the same draws (not identical at finite S).
         let (s, _) = sampler(DetectionModel::Constant);
         let config = McmcConfig::smoke(71);
-        let waic = waic_for(&s, &config);
-        let loo = loo_for(&s, &config);
+        let output = draws(&s, &config);
+        let waic = waic_from_output_traced(&s, &output, &NOOP).unwrap();
+        let loo = loo_from_output(&s, &output).unwrap();
         let rel = (loo.information_criterion() - waic.total()).abs() / waic.total();
         assert!(
             rel < 0.1,
@@ -161,8 +173,8 @@ mod tests {
         let config = McmcConfig::smoke(72);
         let (s1, _) = sampler(DetectionModel::PadgettSpurrier);
         let (s3, _) = sampler(DetectionModel::Pareto);
-        let l1 = loo_for(&s1, &config);
-        let l3 = loo_for(&s3, &config);
+        let l1 = smoke_loo(&s1, &config);
+        let l3 = smoke_loo(&s3, &config);
         assert!(
             l1.information_criterion() < l3.information_criterion(),
             "model1 {} vs model3 {}",
@@ -174,10 +186,17 @@ mod tests {
     #[test]
     fn pointwise_sums_to_total() {
         let (s, _) = sampler(DetectionModel::Constant);
-        let loo = loo_for(&s, &McmcConfig::smoke(73));
+        let loo = smoke_loo(&s, &McmcConfig::smoke(73));
         let sum: f64 = loo.pointwise.iter().sum();
         assert!((sum - loo.elpd).abs() < 1e-9);
         assert_eq!(loo.pointwise.len(), 48);
+    }
+
+    #[test]
+    fn replay_of_empty_output_is_a_typed_error() {
+        let (s, _) = sampler(DetectionModel::Constant);
+        let err = loo_from_output(&s, &McmcOutput { chains: Vec::new() }).unwrap_err();
+        assert!(matches!(err, SrmError::InvalidConfig { .. }));
     }
 
     #[test]

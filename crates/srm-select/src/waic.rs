@@ -16,10 +16,8 @@
 use srm_math::accum::RunningMoments;
 use srm_math::logsumexp::StreamingLogSumExp;
 use srm_math::special::ln_factorial;
-use srm_mcmc::gibbs::{GibbsSampler, SweepRecord};
-use srm_mcmc::runner::{
-    run_chains_fault_tolerant_traced, run_chains_observed, McmcConfig, McmcOutput, RunOptions,
-};
+use srm_mcmc::gibbs::GibbsSampler;
+use srm_mcmc::runner::McmcOutput;
 use srm_mcmc::SrmError;
 use srm_model::GroupedLikelihood;
 use srm_obs::{Event, Recorder, Span};
@@ -77,12 +75,6 @@ impl WaicAccumulator {
             // (N ≥ s_k) but is clamped defensively for the variance.
             self.log_terms[day - 1].push(ln_p.max(-1e300));
         }
-    }
-
-    /// Feeds one [`SweepRecord`] (the observer form used with the
-    /// MCMC runner).
-    pub fn observe(&mut self, record: &SweepRecord<'_>) {
-        self.add_draw(record.n, record.probs);
     }
 
     /// Number of draws consumed.
@@ -182,39 +174,15 @@ impl Waic {
     }
 }
 
-/// Runs the sampler with a WAIC observer and returns the criterion
-/// (chains run serially so the observer sees every kept draw).
-#[must_use]
-pub fn waic_for(sampler: &GibbsSampler, config: &McmcConfig) -> Waic {
-    waic_and_chains(sampler, config).0
-}
-
-/// [`waic_for`] with instrumentation: wraps the evaluation in a
-/// `waic` phase span and emits an [`Event::Waic`] when the recorder
-/// is enabled. The criterion itself is bit-identical to the untraced
-/// path — the recorder never touches the sampler's RNG.
-#[must_use]
-pub fn waic_for_traced(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    recorder: &dyn Recorder,
-) -> Waic {
-    let span = Span::enter(recorder, "waic");
-    let (waic, output) = {
-        let _profile = srm_obs::profile::span("waic");
-        waic_and_chains(sampler, config)
-    };
-    span.end();
-    emit_waic(sampler, &waic, draws_in(&output), recorder);
-    waic
-}
-
-/// [`waic_from_output`] with instrumentation: wraps the replay in a
-/// `waic` phase span and emits an [`Event::Waic`] on success.
+/// Computes WAIC by replaying the stored draws of `output` (see
+/// [`replay_draws`]), under a `waic` phase span, and emits an
+/// [`Event::Waic`] on success. Pass [`srm_obs::NOOP`] as the recorder
+/// for an untraced evaluation; the criterion is bit-identical for any
+/// recorder.
 ///
 /// # Errors
 ///
-/// Propagates the same errors as [`waic_from_output`].
+/// Propagates the replay errors of [`replay_draws`].
 pub fn waic_from_output_traced(
     sampler: &GibbsSampler,
     output: &McmcOutput,
@@ -223,47 +191,12 @@ pub fn waic_from_output_traced(
     let span = Span::enter(recorder, "waic");
     let result = {
         let _profile = srm_obs::profile::span("waic");
-        waic_from_output(sampler, output)
+        let mut acc = WaicAccumulator::new(&reconstruct_data(sampler));
+        replay_draws(sampler, output, |n, probs| acc.add_draw(n, probs))
+            .map(|draws| (acc.finish(), draws))
     };
     span.end();
-    if let Ok(waic) = &result {
-        emit_waic(sampler, waic, draws_in(output), recorder);
-    }
-    result
-}
-
-/// Runs the chains across the parallel worker pool and computes WAIC
-/// by replaying the merged output.
-///
-/// For a fault-free run this is bit-identical to [`waic_for`] /
-/// [`waic_for_traced`]: the parallel runner merges the same per-chain
-/// draws in chain order, and the replay recomputes each draw's
-/// detection schedule deterministically from its stored `ζ`, feeding
-/// the accumulator in the same order as the streaming observer.
-///
-/// # Errors
-///
-/// Returns the runner's error when every chain is lost, and the
-/// replay errors of [`waic_from_output`].
-pub fn waic_parallel_traced(
-    sampler: &GibbsSampler,
-    config: &McmcConfig,
-    options: &RunOptions,
-    recorder: &dyn Recorder,
-) -> Result<Waic, SrmError> {
-    let run = run_chains_fault_tolerant_traced(sampler, config, options, recorder)?;
-    waic_from_output_traced(sampler, &run.output, recorder)
-}
-
-fn draws_in(output: &McmcOutput) -> usize {
-    output
-        .chains
-        .iter()
-        .map(|c| c.draws("n").map_or(0, <[f64]>::len))
-        .sum()
-}
-
-fn emit_waic(sampler: &GibbsSampler, waic: &Waic, draws: usize, recorder: &dyn Recorder) {
+    let (waic, draws) = result?;
     if recorder.enabled() {
         recorder.record(&Event::Waic {
             model: sampler.model().name().to_owned(),
@@ -272,25 +205,18 @@ fn emit_waic(sampler: &GibbsSampler, waic: &Waic, draws: usize, recorder: &dyn R
             draws,
         });
     }
+    Ok(waic)
 }
 
-/// Runs the sampler once, returning both WAIC and the chains — the
-/// experiment pipeline needs both without paying for two runs.
-#[must_use]
-pub fn waic_and_chains(sampler: &GibbsSampler, config: &McmcConfig) -> (Waic, McmcOutput) {
-    let data = reconstruct_data(sampler);
-    let mut acc = WaicAccumulator::new(&data);
-    let output = run_chains_observed(sampler, config, &mut |rec| acc.observe(rec));
-    (acc.finish(), output)
-}
-
-/// Replays recorded chains through a fresh WAIC accumulator,
-/// recomputing each draw's detection schedule from its stored `ζ`.
+/// Replays recorded chains draw by draw, in chain order and then draw
+/// order: each draw's detection schedule `p_1..p_k` is rebuilt from
+/// its stored `ζ` and handed to `add_draw` with its `N`. Returns the
+/// number of draws replayed.
 ///
-/// Because the schedule is a deterministic function of `ζ`, the result
-/// is bit-identical to the streaming observer over the same chains —
-/// which lets the fault-tolerant pipeline compute WAIC from whatever
-/// chains survived a degraded run.
+/// The schedule is a deterministic function of `ζ`, so any
+/// accumulator fed this way sees the same values for any thread count
+/// the chains ran on, and the fault-tolerant pipeline can score
+/// whatever chains survived a degraded run.
 ///
 /// # Errors
 ///
@@ -298,13 +224,16 @@ pub fn waic_and_chains(sampler: &GibbsSampler, config: &McmcConfig) -> (Waic, Mc
 /// detection parameter, [`SrmError::DegeneratePosterior`] when a
 /// stored `ζ` is outside the model's domain, and
 /// [`SrmError::InvalidConfig`] when `output` holds no draws at all.
-pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<Waic, SrmError> {
-    let data = reconstruct_data(sampler);
-    let mut acc = WaicAccumulator::new(&data);
+pub fn replay_draws(
+    sampler: &GibbsSampler,
+    output: &McmcOutput,
+    mut add_draw: impl FnMut(u64, &[f64]),
+) -> Result<usize, SrmError> {
     let zeta_names = sampler.model().param_names();
-    let horizon = data.len();
+    let horizon = sampler.likelihood().horizon();
     let mut zeta = vec![0.0; zeta_names.len()];
     let mut probs = Vec::with_capacity(horizon);
+    let mut draws = 0;
     for (ci, chain) in output.chains.iter().enumerate() {
         let n_draws = chain.draws("n").ok_or_else(|| SrmError::MissingParameter {
             parameter: "n".into(),
@@ -330,20 +259,21 @@ pub fn waic_from_output(sampler: &GibbsSampler, output: &McmcOutput) -> Result<W
                     detail: format!("replayed zeta outside model domain: {e:?}"),
                     sweep: t,
                 })?;
-            acc.add_draw(n_draws[t] as u64, &probs);
+            add_draw(n_draws[t] as u64, &probs);
         }
+        draws += n_draws.len();
     }
-    if acc.draws() == 0 {
+    if draws == 0 {
         return Err(SrmError::InvalidConfig {
-            detail: "WAIC replay over empty output".into(),
+            detail: "draw replay over empty output".into(),
         });
     }
-    Ok(acc.finish())
+    Ok(draws)
 }
 
 /// The sampler holds its data only through the likelihood evaluator;
-/// rebuild an equivalent `BugCountData` for the accumulator.
-fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData {
+/// rebuild an equivalent `BugCountData` for an accumulator.
+pub(crate) fn reconstruct_data(sampler: &GibbsSampler) -> srm_data::BugCountData {
     // The sampler can only be built from non-empty data.
     srm_data::BugCountData::new(sampler.likelihood().counts().to_vec())
         .unwrap_or_else(|_| unreachable!())
@@ -354,12 +284,25 @@ mod tests {
     use super::*;
     use srm_data::datasets;
     use srm_mcmc::gibbs::PriorSpec;
+    use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
     use srm_model::{DetectionModel, ZetaBounds};
+    use srm_obs::NOOP;
+
+    fn waic_at(sampler: &GibbsSampler, config: &McmcConfig, threads: usize) -> Waic {
+        let run = run_chains_fault_tolerant_traced(
+            sampler,
+            config,
+            &RunOptions::with_threads(threads),
+            &NOOP,
+        )
+        .unwrap();
+        waic_from_output_traced(sampler, &run.output, &NOOP).unwrap()
+    }
 
     fn smoke_waic(prior: PriorSpec, model: DetectionModel, day: usize, seed: u64) -> Waic {
         let data = datasets::musa_cc96().truncated(day).unwrap();
         let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), &data);
-        waic_for(&sampler, &McmcConfig::smoke(seed))
+        waic_at(&sampler, &McmcConfig::smoke(seed), 0)
     }
 
     #[test]
@@ -456,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_waic_is_bit_identical_to_streaming() {
+    fn waic_is_bit_identical_across_thread_counts() {
         let data = datasets::musa_cc96().truncated(20).unwrap();
         let sampler = GibbsSampler::new(
             PriorSpec::Poisson {
@@ -473,17 +416,25 @@ mod tests {
             thin: 1,
             seed: 707,
         };
-        let serial = waic_for(&sampler, &config);
-        for threads in [1usize, 4] {
-            let parallel = waic_parallel_traced(
-                &sampler,
-                &config,
-                &RunOptions::with_threads(threads),
-                &srm_obs::NOOP,
-            )
-            .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
-        }
+        let serial = waic_at(&sampler, &config, 1);
+        let parallel = waic_at(&sampler, &config, 4);
+        assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn replay_of_empty_output_is_a_typed_error() {
+        let data = datasets::musa_cc96().truncated(20).unwrap();
+        let sampler = GibbsSampler::new(
+            PriorSpec::Poisson {
+                lambda_max: 2_000.0,
+            },
+            DetectionModel::Constant,
+            ZetaBounds::default(),
+            &data,
+        );
+        let empty = McmcOutput { chains: Vec::new() };
+        let err = waic_from_output_traced(&sampler, &empty, &NOOP).unwrap_err();
+        assert!(matches!(err, SrmError::InvalidConfig { .. }));
     }
 
     #[test]

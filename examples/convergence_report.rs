@@ -30,7 +30,9 @@ fn main() {
         thin: 1,
         seed: 17,
     };
-    let output = run_chains(&sampler, &config);
+    let output = run_chains_fault_tolerant_traced(&sampler, &config, &RunOptions::none(), &NOOP)
+        .expect("at least one chain survives")
+        .output;
 
     let mut table = Table::new(
         "Convergence diagnostics — model1, Poisson prior, 48 days",

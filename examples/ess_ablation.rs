@@ -11,6 +11,7 @@
 
 use srm::mcmc::diagnostics::effective_sample_size;
 use srm::mcmc::gibbs::{SweepKind, ZetaKernel};
+use srm::mcmc::{FaultInjector, RetryPolicy};
 use srm::prelude::*;
 use srm::rand::Xoshiro256StarStar;
 use srm::report::Table;
@@ -26,7 +27,20 @@ fn ess_of(prior: PriorSpec, sweep: SweepKind, kernel: ZetaKernel, seed: u64) -> 
     .with_sweep_kind(sweep)
     .with_zeta_kernel(kernel);
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 500, 2_000, 1, &mut |_| {});
+    let chain = sampler
+        .try_run_chain(
+            &mut rng,
+            500,
+            2_000,
+            1,
+            &RetryPolicy::none(),
+            &mut FaultInjector::empty(),
+            0,
+            &NOOP,
+            0,
+        )
+        .expect("fault-free chain")
+        .0;
     let residual = effective_sample_size(chain.draws("residual").unwrap());
     let hyper = match prior {
         PriorSpec::Poisson { .. } => effective_sample_size(chain.draws("lambda0").unwrap()),

@@ -37,7 +37,10 @@ fn main() {
             ZetaBounds::default(),
             &data,
         );
-        let waic = waic_for(&sampler, &mcmc);
+        let run = run_chains_fault_tolerant_traced(&sampler, &mcmc, &RunOptions::none(), &NOOP)
+            .expect("at least one chain survives");
+        let waic =
+            waic_from_output_traced(&sampler, &run.output, &NOOP).expect("stored draws replay");
         table.row(
             model.name(),
             &[

@@ -41,7 +41,10 @@ fn main() {
         let mut row = Vec::new();
         for model in DetectionModel::ALL {
             let sampler = GibbsSampler::new(prior, model, ZetaBounds::default(), &data);
-            let waic = waic_for(&sampler, &mcmc);
+            let run = run_chains_fault_tolerant_traced(&sampler, &mcmc, &RunOptions::none(), &NOOP)
+                .expect("at least one chain survives");
+            let waic =
+                waic_from_output_traced(&sampler, &run.output, &NOOP).expect("stored draws replay");
             row.push(waic.total());
         }
         table.row(label, &row);

@@ -31,14 +31,17 @@ fn main() {
         },
         ..srm::core::FitConfig::default()
     };
-    let fit = srm::core::Fit::run(
+    let fit = srm::core::Fit::try_run(
         PriorSpec::Poisson {
             lambda_max: 2_000.0,
         },
         DetectionModel::PadgettSpurrier,
         &window,
         &config,
-    );
+        &RunOptions::none(),
+    )
+    .expect("at least one chain survives")
+    .fit;
 
     println!("\nPosterior of the residual bug count after day 48:");
     println!(

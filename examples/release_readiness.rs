@@ -41,7 +41,7 @@ fn main() {
             ),
             ("negbinom", PriorSpec::NegBinomial { alpha_max: 100.0 }),
         ] {
-            let fit = srm::core::Fit::run(
+            let fit = srm::core::Fit::try_run(
                 prior,
                 DetectionModel::PadgettSpurrier,
                 &window,
@@ -49,7 +49,10 @@ fn main() {
                     mcmc,
                     ..srm::core::FitConfig::default()
                 },
-            );
+                &RunOptions::none(),
+            )
+            .expect("at least one chain survives")
+            .fit;
 
             // Plug-in analytic posterior at the posterior-mean
             // hyper-parameters (the draws give the full mixture; the

@@ -7,6 +7,8 @@
 //! cargo run --release --example synthetic_recovery
 //! ```
 
+#![allow(clippy::expect_used)] // example code
+
 use srm::prelude::*;
 
 fn main() {
@@ -28,7 +30,7 @@ fn main() {
     let replications = 10;
     for rep in 0..replications {
         let project = sim.run(1_000 + rep);
-        let fit = srm::core::Fit::run(
+        let fit = srm::core::Fit::try_run(
             PriorSpec::Poisson {
                 lambda_max: 2_000.0,
             },
@@ -41,7 +43,10 @@ fn main() {
                 },
                 ..srm::core::FitConfig::default()
             },
-        );
+            &RunOptions::none(),
+        )
+        .expect("at least one chain survives")
+        .fit;
         // Posterior over N = detected + residual.
         let n_draws: Vec<f64> = fit
             .residual_draws

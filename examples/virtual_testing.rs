@@ -42,7 +42,7 @@ fn main() {
             },
             PriorSpec::NegBinomial { alpha_max: 100.0 },
         ] {
-            let fit = srm::core::Fit::run(
+            let fit = srm::core::Fit::try_run(
                 prior,
                 DetectionModel::PadgettSpurrier,
                 &window,
@@ -50,7 +50,10 @@ fn main() {
                     mcmc,
                     ..srm::core::FitConfig::default()
                 },
-            );
+                &RunOptions::none(),
+            )
+            .expect("at least one chain survives")
+            .fit;
             row.push(fit.residual.mean);
             row.push(fit.residual.sd);
         }

@@ -31,19 +31,23 @@
 //! use srm::core::{Fit, FitConfig};
 //! use srm::data::datasets;
 //! use srm::mcmc::gibbs::PriorSpec;
-//! use srm::mcmc::runner::McmcConfig;
+//! use srm::mcmc::runner::{McmcConfig, RunOptions};
 //! use srm::model::DetectionModel;
 //!
 //! // Fit the Padgett–Spurrier model with the Poisson prior at the
 //! // 50% observation point of the 136-bug dataset.
 //! let data = datasets::musa_cc96().truncated(48).unwrap();
 //! let config = FitConfig { mcmc: McmcConfig::smoke(42), ..FitConfig::default() };
-//! let fit = Fit::run(
+//! let run = Fit::try_run(
 //!     PriorSpec::Poisson { lambda_max: 2000.0 },
 //!     DetectionModel::PadgettSpurrier,
 //!     &data,
 //!     &config,
-//! );
+//!     &RunOptions::none(),
+//! )
+//! .unwrap();
+//! assert!(!run.is_degraded());
+//! let fit = run.fit;
 //! println!("posterior residual mean: {:.1}", fit.residual.mean);
 //! assert!(fit.residual.mean >= 0.0);
 //! ```
@@ -71,8 +75,9 @@ pub mod prelude {
         datasets, BugCountData, DetectionSimulator, ObservationPlan, ObservationPoint,
     };
     pub use srm_mcmc::gibbs::{GibbsSampler, PriorSpec};
-    pub use srm_mcmc::runner::{run_chains, McmcConfig};
+    pub use srm_mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
     pub use srm_mcmc::PosteriorSummary;
     pub use srm_model::{nb_posterior, poisson_posterior, BugPrior, DetectionModel, ZetaBounds};
-    pub use srm_select::waic::{waic_for, Waic};
+    pub use srm_obs::NOOP;
+    pub use srm_select::waic::{waic_from_output_traced, Waic};
 }

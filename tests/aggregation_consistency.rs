@@ -6,7 +6,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
 use srm::core::{Fit, FitConfig};
-use srm::mcmc::runner::McmcConfig;
 use srm::prelude::*;
 
 #[test]
@@ -45,7 +44,7 @@ fn fitted_posterior_consistent_across_aggregation() {
     assert_eq!(weekly.len(), 12);
 
     let fit_view = |data: &BugCountData, seed: u64| {
-        let fit = Fit::run(
+        let fit = Fit::try_run(
             PriorSpec::Poisson {
                 lambda_max: 4_000.0,
             },
@@ -61,7 +60,10 @@ fn fitted_posterior_consistent_across_aggregation() {
                 },
                 ..FitConfig::default()
             },
-        );
+            &RunOptions::none(),
+        )
+        .unwrap()
+        .fit;
         fit.residual.mean + data.total() as f64 // posterior mean of N
     };
     let n_daily = fit_view(&daily, 61_003);

@@ -1,13 +1,19 @@
 //! Reproducibility: identical seeds must give bit-identical results
-//! through every layer of the stack, and the parallel runner must
-//! match the serial runner.
+//! through every layer of the stack, and the runner on four worker
+//! threads must match the runner on one.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
 use srm::core::{Experiment, ExperimentConfig};
 use srm::data::{datasets, ObservationPlan};
-use srm::mcmc::runner::{run_chains, run_chains_observed, McmcConfig};
+use srm::mcmc::runner::McmcOutput;
 use srm::prelude::*;
+
+fn draws(sampler: &GibbsSampler, config: &McmcConfig, threads: usize) -> McmcOutput {
+    run_chains_fault_tolerant_traced(sampler, config, &RunOptions::with_threads(threads), &NOOP)
+        .unwrap()
+        .output
+}
 
 fn small_config(seed: u64) -> McmcConfig {
     McmcConfig {
@@ -28,10 +34,10 @@ fn sampler_is_bit_reproducible() {
         ZetaBounds::default(),
         &data,
     );
-    let a = run_chains(&sampler, &small_config(555));
-    let b = run_chains(&sampler, &small_config(555));
+    let a = draws(&sampler, &small_config(555), 0);
+    let b = draws(&sampler, &small_config(555), 0);
     assert_eq!(a, b);
-    let c = run_chains(&sampler, &small_config(556));
+    let c = draws(&sampler, &small_config(556), 0);
     assert_ne!(a, c);
 }
 
@@ -46,8 +52,8 @@ fn parallel_equals_serial() {
         ZetaBounds::default(),
         &data,
     );
-    let par = run_chains(&sampler, &small_config(777));
-    let ser = run_chains_observed(&sampler, &small_config(777), &mut |_| {});
+    let ser = draws(&sampler, &small_config(777), 1);
+    let par = draws(&sampler, &small_config(777), 4);
     assert_eq!(par, ser);
 }
 
@@ -65,10 +71,12 @@ fn experiment_reproducible_end_to_end() {
     let build = || {
         Experiment::new(datasets::musa_cc96(), config.clone())
             .with_plan(ObservationPlan::from_days(&[48, 96]))
-            .run()
+            .try_run(&RunOptions::none(), &NOOP)
+            .unwrap()
     };
     let a = build();
     let b = build();
+    assert!(a.failures().is_empty());
     assert_eq!(a.cells().len(), b.cells().len());
     for (ca, cb) in a.cells().iter().zip(b.cells()) {
         assert_eq!(ca.fit.residual, cb.fit.residual, "{:?}", ca.key);
@@ -77,7 +85,7 @@ fn experiment_reproducible_end_to_end() {
 }
 
 #[test]
-fn waic_deterministic_via_observer() {
+fn waic_deterministic_from_stored_draws() {
     let data = datasets::musa_cc96().truncated(48).unwrap();
     let sampler = GibbsSampler::new(
         PriorSpec::Poisson {
@@ -87,7 +95,9 @@ fn waic_deterministic_via_observer() {
         ZetaBounds::default(),
         &data,
     );
-    let w1 = waic_for(&sampler, &small_config(999));
-    let w2 = waic_for(&sampler, &small_config(999));
-    assert_eq!(w1, w2);
+    let waic = || {
+        let output = draws(&sampler, &small_config(999), 0);
+        waic_from_output_traced(&sampler, &output, &NOOP).unwrap()
+    };
+    assert_eq!(waic(), waic());
 }

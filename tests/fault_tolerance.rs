@@ -2,14 +2,14 @@
 //!
 //! These exercise the deterministic fault-injection harness: injected
 //! faults must be recovered (or reported) identically run-to-run, and
-//! fault-free runs must match the panicking entry points bit-for-bit —
-//! the failure-path counterpart of `tests/determinism.rs`.
+//! fault-free runs must match a strict run (no retry budget)
+//! bit-for-bit — the failure-path counterpart of `tests/determinism.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use srm::data::datasets;
 use srm::mcmc::runner::{
-    run_chains, run_chains_fault_tolerant, McmcConfig, McmcOutput, RunOptions,
+    run_chains_fault_tolerant_traced, FaultTolerantRun, McmcConfig, McmcOutput, RunOptions,
 };
 use srm::mcmc::{FaultKind, FaultPlan, FaultPoint, RetryPolicy, SrmError};
 use srm::prelude::*;
@@ -22,6 +22,21 @@ fn small_config(chains: usize, seed: u64) -> McmcConfig {
         thin: 1,
         seed,
     }
+}
+
+fn tolerant_run(
+    sampler: &GibbsSampler,
+    config: &McmcConfig,
+    options: &RunOptions,
+) -> Result<FaultTolerantRun, SrmError> {
+    run_chains_fault_tolerant_traced(sampler, config, options, &NOOP)
+}
+
+/// A fault-free run with no retry budget, every chain kept.
+fn strict_run(sampler: &GibbsSampler, config: &McmcConfig) -> McmcOutput {
+    let run = tolerant_run(sampler, config, &RunOptions::none()).unwrap();
+    assert!(!run.is_degraded());
+    run.output
 }
 
 fn make_sampler(data: &BugCountData) -> GibbsSampler {
@@ -56,7 +71,7 @@ fn fault_free_tolerant_run_is_bit_identical_to_strict() {
     let data = datasets::musa_cc96().truncated(40).unwrap();
     let sampler = make_sampler(&data);
     let config = small_config(3, 900);
-    let strict = run_chains(&sampler, &config);
+    let strict = strict_run(&sampler, &config);
     // Retries enabled but nothing to recover from: the snapshot path
     // must not perturb the RNG stream.
     let options = RunOptions {
@@ -66,7 +81,7 @@ fn fault_free_tolerant_run_is_bit_identical_to_strict() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let tolerant = run_chains_fault_tolerant(&sampler, &config, &options).unwrap();
+    let tolerant = tolerant_run(&sampler, &config, &options).unwrap();
     assert!(tolerant
         .reports
         .iter()
@@ -90,7 +105,7 @@ fn single_panicked_chain_yields_partial_output_naming_it() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let run = run_chains_fault_tolerant(&sampler, &config, &options).unwrap();
+    let run = tolerant_run(&sampler, &config, &options).unwrap();
 
     // 3 of 4 chains survive and the report names the lost one.
     assert_eq!(run.output.chains.len(), 3);
@@ -115,7 +130,7 @@ fn single_panicked_chain_yields_partial_output_naming_it() {
 
     // The surviving chains match the corresponding streams of a
     // fault-free run (chain RNGs are independent splits).
-    let strict = run_chains(&sampler, &config);
+    let strict = strict_run(&sampler, &config);
     for (survivor, stream) in run.output.chains.iter().zip([0usize, 1, 3]) {
         let expect = &strict.chains[stream];
         for name in survivor.names() {
@@ -142,8 +157,8 @@ fn same_seed_and_plan_reproduce_bit_identical_recovered_chains() {
             checkpoint_every: 0,
             profiler: None,
         };
-        let a = run_chains_fault_tolerant(&sampler, &config, &options).unwrap();
-        let b = run_chains_fault_tolerant(&sampler, &config, &options).unwrap();
+        let a = tolerant_run(&sampler, &config, &options).unwrap();
+        let b = tolerant_run(&sampler, &config, &options).unwrap();
         assert_chains_bit_identical(&a.output, &b.output);
         assert_eq!(a.reports.len(), b.reports.len(), "seed {seed}");
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
@@ -178,14 +193,14 @@ fn forced_slice_exhaustion_retry_replays_the_unfaulted_sweep() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let recovered = run_chains_fault_tolerant(&sampler, &config, &options).unwrap();
+    let recovered = tolerant_run(&sampler, &config, &options).unwrap();
     assert!(recovered.reports[0].recovered);
     assert_eq!(recovered.reports[0].retries, 1);
     assert_eq!(
         recovered.reports[0].fault.as_ref().map(SrmError::kind),
         Some("slice-exhausted")
     );
-    let strict = run_chains(&sampler, &config);
+    let strict = strict_run(&sampler, &config);
     assert_chains_bit_identical(&strict, &recovered.output);
 }
 
@@ -207,7 +222,7 @@ fn nan_rate_fault_recovers_with_retries_and_is_lost_without() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let run = run_chains_fault_tolerant(&sampler, &config, &with_retry).unwrap();
+    let run = tolerant_run(&sampler, &config, &with_retry).unwrap();
     assert_eq!(run.output.chains.len(), 2);
     assert!(run.reports[1].recovered);
     assert_eq!(run.reports[1].retries, 1);
@@ -223,7 +238,7 @@ fn nan_rate_fault_recovers_with_retries_and_is_lost_without() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let degraded = run_chains_fault_tolerant(&sampler, &config, &without_retry).unwrap();
+    let degraded = tolerant_run(&sampler, &config, &without_retry).unwrap();
     assert_eq!(degraded.output.chains.len(), 1);
     assert!(!degraded.reports[1].recovered);
     assert_eq!(
@@ -237,7 +252,7 @@ fn zero_chains_is_a_typed_invalid_config() {
     let data = datasets::musa_cc96().truncated(20).unwrap();
     let sampler = make_sampler(&data);
     let config = small_config(0, 904);
-    let err = run_chains_fault_tolerant(&sampler, &config, &RunOptions::none()).unwrap_err();
+    let err = tolerant_run(&sampler, &config, &RunOptions::none()).unwrap_err();
     assert!(matches!(err, SrmError::InvalidConfig { .. }));
 }
 
@@ -264,7 +279,7 @@ fn losing_every_chain_is_an_error_not_a_panic() {
         checkpoint_every: 0,
         profiler: None,
     };
-    let err = run_chains_fault_tolerant(&sampler, &config, &options).unwrap_err();
+    let err = tolerant_run(&sampler, &config, &options).unwrap_err();
     assert!(matches!(err, SrmError::ChainPanicked { .. }));
 }
 
@@ -302,7 +317,7 @@ fn injected_faults_report_identically_across_thread_counts() {
             checkpoint_every: 0,
             profiler: None,
         };
-        run_chains_fault_tolerant(&sampler, &config, &options).unwrap()
+        tolerant_run(&sampler, &config, &options).unwrap()
     };
 
     let serial = run_with(1);

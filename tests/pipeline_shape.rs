@@ -7,8 +7,9 @@
 
 use srm::core::{Experiment, ExperimentConfig};
 use srm::data::{datasets, ObservationPlan};
-use srm::mcmc::runner::McmcConfig;
+use srm::mcmc::runner::{McmcConfig, RunOptions};
 use srm::model::DetectionModel;
+use srm::obs::NOOP;
 
 fn run_reduced_experiment(seed: u64) -> srm::core::ExperimentResults {
     let mut config = ExperimentConfig::paper_design(McmcConfig {
@@ -22,7 +23,8 @@ fn run_reduced_experiment(seed: u64) -> srm::core::ExperimentResults {
     config.models = DetectionModel::ALL.to_vec();
     Experiment::new(datasets::musa_cc96(), config)
         .with_plan(ObservationPlan::from_days(&[48, 96, 116, 146]))
-        .run()
+        .try_run(&RunOptions::none(), &NOOP)
+        .unwrap()
 }
 
 #[test]

@@ -17,6 +17,7 @@
 
 use srm::math::incgamma::inc_gamma_p;
 use srm::math::quadrature::integrate;
+use srm::mcmc::{FaultInjector, RetryPolicy};
 use srm::model::GroupedLikelihood;
 use srm::prelude::*;
 use srm::rand::Xoshiro256StarStar;
@@ -91,7 +92,20 @@ fn gibbs_residual_moments(
     )
     .with_sweep_kind(kind);
     let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let chain = sampler.run_chain(&mut rng, 1_000, 6_000, 1, &mut |_| {});
+    let chain = sampler
+        .try_run_chain(
+            &mut rng,
+            1_000,
+            6_000,
+            1,
+            &RetryPolicy::none(),
+            &mut FaultInjector::empty(),
+            0,
+            &NOOP,
+            0,
+        )
+        .unwrap()
+        .0;
     let draws = chain.draws("residual").expect("column exists");
     let mean = draws.iter().sum::<f64>() / draws.len() as f64;
     let sd = (draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / draws.len() as f64).sqrt();
@@ -144,7 +158,20 @@ fn collapsed_and_naive_agree_for_nb_prior() {
         )
         .with_sweep_kind(kind);
         let mut rng = Xoshiro256StarStar::seed_from(seed);
-        let chain = sampler.run_chain(&mut rng, 1_500, 8_000, 1, &mut |_| {});
+        let chain = sampler
+            .try_run_chain(
+                &mut rng,
+                1_500,
+                8_000,
+                1,
+                &RetryPolicy::none(),
+                &mut FaultInjector::empty(),
+                0,
+                &NOOP,
+                0,
+            )
+            .unwrap()
+            .0;
         let draws = chain.draws("residual").unwrap();
         draws.iter().sum::<f64>() / draws.len() as f64
     };

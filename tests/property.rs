@@ -338,12 +338,13 @@ fn random_sampler(rng: &mut SplitMix64, data: &BugCountData) -> srm::mcmc::Gibbs
     srm::mcmc::GibbsSampler::new(prior, model, srm::model::ZetaBounds::default(), data)
 }
 
-/// Parallel execution is bit-identical to the serial path for any
-/// seed, prior/model pairing and worker count: chain `i` is a pure
-/// function of `(seed, i)` regardless of scheduling.
+/// Four worker threads give the bits one worker gives for any seed
+/// and prior/model pairing: chain `i` is a pure function of
+/// `(seed, i)` regardless of scheduling.
 #[test]
 fn parallel_chains_bit_identical_to_serial() {
-    use srm::mcmc::runner::{run_chains, run_chains_fault_tolerant, McmcConfig, RunOptions};
+    use srm::mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
+    use srm::obs::NOOP;
     let mut rng = SplitMix64::seed_from(0x5EED_000E);
     // MCMC is orders of magnitude costlier than the closed-form
     // properties above, so this property draws fewer cases.
@@ -360,21 +361,26 @@ fn parallel_chains_bit_identical_to_serial() {
             thin: 1,
             seed: rng.next_below(1 << 40),
         };
-        let serial = run_chains(&sampler, &config);
-        for threads in [1usize, 4] {
-            let run =
-                run_chains_fault_tolerant(&sampler, &config, &RunOptions::with_threads(threads))
-                    .unwrap();
-            assert_eq!(run.output.chains.len(), serial.chains.len());
-            for (ca, cb) in serial.chains.iter().zip(&run.output.chains) {
-                for name in ca.names() {
-                    let da = ca.draws(name).unwrap();
-                    let db = cb.draws(name).unwrap();
-                    assert!(
-                        da.iter().zip(db).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "threads {threads}, param {name}"
-                    );
-                }
+        let run = |threads| {
+            run_chains_fault_tolerant_traced(
+                &sampler,
+                &config,
+                &RunOptions::with_threads(threads),
+                &NOOP,
+            )
+            .unwrap()
+            .output
+        };
+        let (serial, parallel) = (run(1), run(4));
+        assert_eq!(parallel.chains.len(), serial.chains.len());
+        for (ca, cb) in serial.chains.iter().zip(&parallel.chains) {
+            for name in ca.names() {
+                let da = ca.draws(name).unwrap();
+                let db = cb.draws(name).unwrap();
+                assert!(
+                    da.iter().zip(db).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "param {name}"
+                );
             }
         }
     }
@@ -386,7 +392,8 @@ fn parallel_chains_bit_identical_to_serial() {
 /// accumulation order.
 #[test]
 fn cached_sweeps_bit_identical_to_uncached() {
-    use srm::mcmc::runner::{run_chains, McmcConfig};
+    use srm::mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
+    use srm::obs::NOOP;
     let mut rng = SplitMix64::seed_from(0x5EED_000F);
     for _ in 0..6 {
         let data = BugCountData::new(counts(&mut rng, 10, 30, 6)).unwrap();
@@ -402,8 +409,12 @@ fn cached_sweeps_bit_identical_to_uncached() {
             thin: 1,
             seed: rng.next_below(1 << 40),
         };
-        let a = run_chains(&cached, &config);
-        let b = run_chains(&uncached, &config);
+        let run = |sampler| {
+            run_chains_fault_tolerant_traced(sampler, &config, &RunOptions::none(), &NOOP)
+                .unwrap()
+                .output
+        };
+        let (a, b) = (run(&cached), run(&uncached));
         for (ca, cb) in a.chains.iter().zip(&b.chains) {
             for name in ca.names() {
                 let da = ca.draws(name).unwrap();

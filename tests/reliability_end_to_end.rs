@@ -5,7 +5,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
 use srm::core::{Fit, FitConfig};
-use srm::mcmc::runner::McmcConfig;
 use srm::model::reliability::{pgf, reliability, reliability_curve};
 use srm::prelude::*;
 use srm::rand::{Binomial, Distribution, Rng, SplitMix64};
@@ -19,7 +18,7 @@ fn fitted_reliability_predicts_continuation() {
     let project = sim.run(33_001);
 
     // Fit with the Poisson prior + constant model.
-    let fit = Fit::run(
+    let fit = Fit::try_run(
         PriorSpec::Poisson {
             lambda_max: 3_000.0,
         },
@@ -35,7 +34,10 @@ fn fitted_reliability_predicts_continuation() {
             },
             ..FitConfig::default()
         },
-    );
+        &RunOptions::none(),
+    )
+    .unwrap()
+    .fit;
 
     // Posterior-mixture reliability over 20 more days at the true p:
     // average the per-draw analytic PGF over the posterior draws.

@@ -18,9 +18,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use srm::data::{datasets, BugCountData, DetectionSimulator};
-use srm::mcmc::runner::{run_chains, McmcConfig};
+use srm::mcmc::runner::{run_chains_fault_tolerant_traced, McmcConfig, RunOptions};
 use srm::mcmc::{FixedParams, GibbsSampler, PriorSpec};
 use srm::model::{nb_posterior, poisson_posterior, DetectionModel, ZetaBounds};
+use srm::obs::NOOP;
 use srm::rand::{Rng, SplitMix64};
 
 /// Sample mean of a draw vector.
@@ -42,7 +43,9 @@ fn pinned_sampler(prior: PriorSpec, data: &BugCountData, fixed: FixedParams) -> 
 
 /// Pools the named parameter across every chain of a run.
 fn pooled_draws(sampler: &GibbsSampler, config: &McmcConfig, name: &str) -> Vec<f64> {
-    let out = run_chains(sampler, config);
+    let out = run_chains_fault_tolerant_traced(sampler, config, &RunOptions::none(), &NOOP)
+        .unwrap()
+        .output;
     let mut draws = Vec::new();
     for chain in &out.chains {
         draws.extend_from_slice(chain.draws(name).unwrap());

@@ -9,13 +9,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers
 
 use srm::core::{Fit, FitConfig};
-use srm::mcmc::runner::McmcConfig;
 use srm::mcmc::PosteriorSummary;
 use srm::prelude::*;
 use srm::sbc::{draw_rep, rep_stream, GridSpec};
 
 fn fit_project(project: &srm::data::SimulatedProject, seed: u64) -> Fit {
-    Fit::run(
+    Fit::try_run(
         PriorSpec::Poisson {
             lambda_max: 3_000.0,
         },
@@ -31,7 +30,10 @@ fn fit_project(project: &srm::data::SimulatedProject, seed: u64) -> Fit {
             },
             ..FitConfig::default()
         },
+        &RunOptions::none(),
     )
+    .unwrap()
+    .fit
 }
 
 #[test]
@@ -106,7 +108,7 @@ fn heterogeneous_generator_fits_heterogeneous_model() {
         "residual {}",
         project.true_residual
     );
-    let fit = Fit::run(
+    let fit = Fit::try_run(
         PriorSpec::Poisson {
             lambda_max: 2_000.0,
         },
@@ -122,7 +124,10 @@ fn heterogeneous_generator_fits_heterogeneous_model() {
             },
             ..FitConfig::default()
         },
-    );
+        &RunOptions::none(),
+    )
+    .unwrap()
+    .fit;
     assert!(
         fit.residual.median <= 10.0,
         "median residual {}",
@@ -157,7 +162,7 @@ fn all_ten_cells_recover_prior_drawn_truth() {
     for cell in &cells {
         let mut rng = rep_stream(20_240_001, cell, 1, 0);
         let drawn = draw_rep(cell, &grid, &mut rng);
-        let fit = Fit::run(
+        let fit = Fit::try_run(
             cell.prior,
             cell.model,
             &drawn.project.data,
@@ -171,7 +176,10 @@ fn all_ten_cells_recover_prior_drawn_truth() {
                 },
                 zeta_bounds: grid.zeta_bounds,
             },
-        );
+            &RunOptions::none(),
+        )
+        .unwrap()
+        .fit;
         let total = drawn.project.data.total() as f64;
         let n_draws: Vec<f64> = fit.residual_draws.iter().map(|r| r + total).collect();
         let (lo, hi) = PosteriorSummary::credible_interval(&n_draws, 0.05);
